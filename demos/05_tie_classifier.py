@@ -6,10 +6,12 @@ Run: python demos/05_tie_classifier.py
 import numpy as np
 
 from quotematch.features import (
+    Tie,
     TieKind,
-    TieRecord,
     build_feature_space,
     encode_users,
+    kind_counts,
+    tie_table,
     to_csr,
 )
 from quotematch.model import (
@@ -25,7 +27,7 @@ rng = np.random.default_rng(3)
 
 # Build two user groups with partly-exclusive tie patterns. Following a page
 # and liking its tweets are separate columns: the encoding is kind-qualified.
-ties: list[TieRecord] = []
+ties: list[Tie] = []
 labels: dict[str, float] = {}
 kinds = list(TieKind)
 for i in range(120):
@@ -36,13 +38,14 @@ for i in range(120):
     labels[user] = 1.0 if i % 2 == 0 else -1.0
     for page in group_pages:
         if rng.random() < 0.8:
-            ties.append(TieRecord(user, page, kinds[int(rng.integers(0, 3))]))
+            ties.append((user, page, kinds[int(rng.integers(0, 3))]))
     for _ in range(int(rng.integers(2, 6))):
-        ties.append(TieRecord(user, f"misc_{int(rng.integers(0, 40)):02d}",
-                              kinds[int(rng.integers(0, 3))]))
+        ties.append((user, f"misc_{int(rng.integers(0, 40)):02d}", kinds[int(rng.integers(0, 3))]))
 
-space = build_feature_space(ties)
-vectors, _ = encode_users(ties, space)
+# The encoders work on a table of integer codes: duplicates collapse there.
+table = tie_table(ties)
+space = build_feature_space(table)
+vectors, _ = encode_users(table, space)
 X = to_csr(vectors, space.n_columns)
 y = np.array([labels[v.user_id] for v in vectors])
 print(f"feature space: {space.n_columns} (target, kind) columns over {len(vectors)} users")
@@ -71,8 +74,9 @@ for side, counts in categorize_report(report, category_map).items():
     print(f"  {side}: {dict(sorted(counts.items()))}")
 
 # Welch's t-test contrasts interaction volumes between the groups.
-pos_ties = [sum(1 for t in ties if t.user_id == v.user_id) for v in vectors if labels[v.user_id] > 0]
-neg_ties = [sum(1 for t in ties if t.user_id == v.user_id) for v in vectors if labels[v.user_id] < 0]
+per_user = kind_counts(table)  # distinct ties per kind
+pos_ties = [sum(per_user[v.user_id]) for v in vectors if labels[v.user_id] > 0]
+neg_ties = [sum(per_user[v.user_id]) for v in vectors if labels[v.user_id] < 0]
 result = welch_t_test(pos_ties, neg_ties)
 print(
     f"\nWelch's t-test on tie counts: t={result.t_statistic:.3f}, "

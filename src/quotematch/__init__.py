@@ -23,10 +23,11 @@ from .features import (
     FeatureSpace,
     FeatureVector,
     TieKind,
-    TieRecord,
+    TieTable,
     build_feature_space,
-    encode_user,
+    encode_users,
     prune_features,
+    tie_table,
 )
 from .matcher import (
     LshIndex,

@@ -100,12 +100,15 @@ def read_timeline(path: str | Path) -> list[Post]:
                 continue
             try:
                 obj = json.loads(line)
+                is_retweet = obj.get("is_retweet", False)
+                if not isinstance(is_retweet, bool):
+                    raise TypeError(f"is_retweet must be true or false, got {is_retweet!r}")
                 posts.append(
                     Post(
                         id=str(obj["id"]),
                         user_id=str(obj["user_id"]),
                         text=str(obj.get("text", "")),
-                        is_retweet=bool(obj.get("is_retweet", False)),
+                        is_retweet=is_retweet,
                         created_at=str(obj.get("created_at", "")),
                         parent_id=(
                             str(obj["parent_id"]) if obj.get("parent_id") is not None else None
@@ -214,7 +217,6 @@ def label_user(
     """Apply the circulator/debunker rules to one user's statistics."""
     if mode not in ("strict", "balance"):
         raise ValueError(f"unknown labeling mode: {mode!r}")
-    assert not (stats.total_hadith == 0 and stats.fabricated > 0)
     if (
         stats.fabricated >= thresholds.min_fabricated
         and stats.fabricated / stats.total_hadith > thresholds.min_fabricated_fraction

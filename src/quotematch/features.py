@@ -3,6 +3,10 @@
 One column per distinct (target account, interaction kind) pair, so following
 a page and liking its tweets occupy two different columns. Encodings are
 binary: a column is active iff the user has that tie.
+
+Ties are held in a ``TieTable``: the distinct (user, target, kind) ties as two
+integer code arrays over sorted vocabularies, so encoding and counting are
+array operations rather than work per tie object.
 """
 
 from __future__ import annotations
@@ -10,10 +14,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -25,11 +31,59 @@ class TieKind(Enum):
     LIKE_AUTHOR = "like"
 
 
-@dataclass(frozen=True)
-class TieRecord:
-    user_id: str
-    target_id: str
-    kind: TieKind
+Tie = tuple[str, str, TieKind]  # (user_id, target_id, kind)
+
+_KIND_OF_LABEL = {kind.value: kind for kind in TieKind}
+_TIES_HEADER = ["user_id", "target_id", "kind"]
+
+
+@dataclass(frozen=True, eq=False)
+class TieTable:
+    """Distinct ties: tie ``i`` is ``users[user[i]]`` -> ``pairs[pair[i]]``.
+
+    ``users`` is sorted, ``pairs`` is sorted by (target, kind value), and the
+    ties by (user, pair) code, so code order is output order. Self-ties are
+    kept; the feature encoders skip them."""
+
+    users: tuple[str, ...]
+    pairs: tuple[tuple[str, TieKind], ...]
+    user: np.ndarray
+    pair: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self) -> Iterator[Tie]:
+        for u, p in zip(self.user.tolist(), self.pair.tolist()):
+            target, kind = self.pairs[p]
+            yield self.users[u], target, kind
+
+    def not_self(self) -> np.ndarray:
+        """Mask of the ties whose target is not the user."""
+        code_of = {user: i for i, user in enumerate(self.users)}
+        target_user = np.array([code_of.get(t, -1) for t, _ in self.pairs], dtype=np.int64)
+        return target_user[self.pair] != self.user
+
+
+def tie_table(ties: Iterable[Tie], users: Container[str] | None = None) -> TieTable:
+    """Code ties into a ``TieTable``; duplicates collapse, and when ``users``
+    is given only their ties are kept."""
+    user_code: dict[str, int] = {}
+    pair_code: dict[tuple[str, TieKind], int] = {}
+    codes = array("q")
+    for user_id, target_id, kind in ties:
+        if users is None or user_id in users:
+            codes.append(user_code.setdefault(user_id, len(user_code)))
+            codes.append(pair_code.setdefault((target_id, kind), len(pair_code)))
+    user_names = sorted(user_code)
+    pair_names = sorted(pair_code, key=lambda pair: (pair[0], pair[1].value))
+    # argsort inverts "sorted position -> code", giving each code its sorted rank.
+    user_rank = np.argsort([user_code[u] for u in user_names])
+    pair_rank = np.argsort([pair_code[p] for p in pair_names])
+    code = np.frombuffer(codes, dtype=np.int64).reshape(-1, 2)
+    n_pairs = max(len(pair_names), 1)
+    keys = np.unique(user_rank[code[:, 0]] * n_pairs + pair_rank[code[:, 1]])
+    return TieTable(tuple(user_names), tuple(pair_names), keys // n_pairs, keys % n_pairs)
 
 
 @dataclass
@@ -52,7 +106,7 @@ class FeatureSpace:
     def pair_of(self, column: int) -> tuple[str, TieKind]:
         return self.columns[column]
 
-    @property
+    @cached_property
     def manifest_hash(self) -> str:
         payload = json.dumps(
             [[t, k.value] for t, k in self.columns], ensure_ascii=False, separators=(",", ":")
@@ -68,51 +122,48 @@ class FeatureVector:
     columns: tuple[int, ...]
 
 
-def _user_pairs(ties: Iterable[TieRecord]) -> dict[str, set[tuple[str, TieKind]]]:
-    """Distinct (target, kind) pairs per user; self-ties are dropped."""
-    pairs: dict[str, set[tuple[str, TieKind]]] = {}
-    for t in ties:
-        if t.user_id == t.target_id:
-            continue
-        pairs.setdefault(t.user_id, set()).add((t.target_id, t.kind))
-    return pairs
+def build_feature_space(ties: TieTable) -> FeatureSpace:
+    """One column per (target, kind) of a tie that is not a self-tie; support
+    counts the users per column."""
+    support = np.bincount(ties.pair[ties.not_self()], minlength=len(ties.pairs))
+    used = np.flatnonzero(support)
+    return FeatureSpace(
+        columns=tuple(ties.pairs[p] for p in used.tolist()),
+        support=tuple(support[used].tolist()),
+    )
 
 
-def build_feature_space(ties: Iterable[TieRecord]) -> FeatureSpace:
-    """One column per distinct (target, kind); support counts users per column."""
-    per_user = _user_pairs(ties)
-    support_count: dict[tuple[str, TieKind], int] = {}
-    for pairs in per_user.values():
-        for pair in pairs:
-            support_count[pair] = support_count.get(pair, 0) + 1
-    columns = tuple(sorted(support_count, key=lambda p: (p[0], p[1].value)))
-    return FeatureSpace(columns=columns, support=tuple(support_count[p] for p in columns))
+def encode_users(ties: TieTable, space: FeatureSpace) -> tuple[list[FeatureVector], int]:
+    """Encode every user with a tie that is not a self-tie, sorted by user id.
+
+    Also returns the count of those ties whose pair is not in ``space``."""
+    keep = ties.not_self()
+    user = ties.user[keep]
+    column = np.array(
+        [space.column_of.get(pair, -1) for pair in ties.pairs], dtype=np.int64
+    )[ties.pair[keep]]
+    rows = np.unique(user)
+    known = column >= 0
+    user, column = user[known], column[known]
+    order = np.lexsort((column, user))
+    columns = column[order].tolist()
+    starts = np.searchsorted(user[order], rows).tolist() + [len(columns)]
+    vectors = [
+        FeatureVector(user_id=ties.users[u], columns=tuple(columns[a:b]))
+        for u, a, b in zip(rows.tolist(), starts, starts[1:])
+    ]
+    return vectors, int(np.count_nonzero(~known))
 
 
-def encode_user(
-    user_id: str, ties: Iterable[TieRecord], space: FeatureSpace
-) -> tuple[FeatureVector, int]:
-    """Encode one user; returns the vector and the count of dropped unknown pairs."""
-    pairs = _user_pairs(t for t in ties if t.user_id == user_id).get(user_id, set())
-    known = sorted(space.column_of[p] for p in pairs if p in space.column_of)
-    dropped = sum(1 for p in pairs if p not in space.column_of)
-    return FeatureVector(user_id=user_id, columns=tuple(known)), dropped
-
-
-def encode_users(
-    ties: Iterable[TieRecord], space: FeatureSpace
-) -> tuple[list[FeatureVector], int]:
-    """Encode every user appearing in the tie list, sorted by user id."""
-    per_user = _user_pairs(ties)
-    vectors: list[FeatureVector] = []
-    dropped = 0
-    for user_id in sorted(per_user):
-        known = sorted(
-            space.column_of[p] for p in per_user[user_id] if p in space.column_of
-        )
-        dropped += sum(1 for p in per_user[user_id] if p not in space.column_of)
-        vectors.append(FeatureVector(user_id=user_id, columns=tuple(known)))
-    return vectors, dropped
+def kind_counts(ties: TieTable) -> dict[str, tuple[int, ...]]:
+    """Distinct ties of each user per kind, in ``TieKind`` order; self-ties count."""
+    kind_code = {kind: i for i, kind in enumerate(TieKind)}
+    kind = np.array([kind_code[k] for _, k in ties.pairs], dtype=np.int64)
+    counts = np.bincount(
+        ties.user * len(kind_code) + kind[ties.pair],
+        minlength=len(ties.users) * len(kind_code),
+    ).reshape(-1, len(kind_code))
+    return {user: tuple(row) for user, row in zip(ties.users, counts.tolist())}
 
 
 def prune_features(
@@ -151,35 +202,30 @@ def to_csr(vectors: Sequence[FeatureVector], n_columns: int) -> sparse.csr_matri
     )
 
 
-def read_ties_csv(path: str | Path) -> list[TieRecord]:
-    """Read ``user_id,target_id,kind`` rows; duplicates collapse to one record."""
-    ties: list[TieRecord] = []
-    seen: set[tuple[str, str, TieKind]] = set()
+def _csv_ties(path: str | Path) -> Iterator[Tie]:
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (line_no == 1 and row == ["user_id", "target_id", "kind"]):
-                continue
+        for line_no, row in enumerate(csv.reader(fh), start=1):
             if len(row) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
-            user_id, target_id, kind_label = row
-            try:
-                kind = TieKind(kind_label.strip().lower())
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: unknown tie kind {kind_label!r}"
-                ) from None
-            key = (user_id, target_id, kind)
-            if key in seen:
+                if row:
+                    raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
                 continue
-            seen.add(key)
-            ties.append(TieRecord(user_id, target_id, kind))
-    return ties
+            user_id, target_id, label = row
+            kind = _KIND_OF_LABEL.get(label) or _KIND_OF_LABEL.get(label.strip().lower())
+            if kind is not None:
+                yield user_id, target_id, kind
+            elif not (line_no == 1 and row == _TIES_HEADER):
+                raise ValueError(f"{path}: line {line_no}: unknown tie kind {label!r}")
 
 
-def write_ties_csv(ties: Iterable[TieRecord], path: str | Path) -> None:
-    rows = sorted({(t.user_id, t.target_id, t.kind.value) for t in ties})
-    lines = ["user_id,target_id,kind"] + [",".join(r) for r in rows]
+def read_ties_csv(path: str | Path, users: Container[str] | None = None) -> TieTable:
+    """Read ``user_id,target_id,kind`` rows into a ``TieTable``; when ``users``
+    is given only their ties are kept. Every row is validated either way."""
+    return tie_table(_csv_ties(path), users)
+
+
+def write_ties_csv(ties: Iterable[Tie], path: str | Path) -> None:
+    rows = sorted({(user_id, target_id, kind.value) for user_id, target_id, kind in ties})
+    lines = [",".join(_TIES_HEADER)] + [",".join(r) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .behavior import Post, write_timeline
 from .corpus import TSV_HEADER
-from .features import TieKind, TieRecord, write_ties_csv
+from .features import Tie, TieKind, write_ties_csv
 from .matcher import DEFAULT_REFUTE_PHRASES
 from .textnorm import DEFAULT_PREFIX_PATTERNS, normalize_arabic
 
@@ -123,21 +123,19 @@ def _user_ties(
     background: list[str],
     n_background: int,
     noisy: bool,
-) -> list[TieRecord]:
-    ties: list[TieRecord] = []
+) -> list[Tie]:
+    ties: list[Tie] = []
     if not noisy:
         mask = rng.random(len(planted)) < 0.5
         if not mask.any():
             mask[int(rng.integers(0, len(planted)))] = True
         ties.extend(
-            TieRecord(user_id, target, kind)
-            for (target, kind), keep in zip(planted, mask)
-            if keep
+            (user_id, target, kind) for (target, kind), keep in zip(planted, mask) if keep
         )
     targets = rng.choice(background, size=min(n_background, len(background)), replace=False)
     for target in targets:
         kind = _TIE_KINDS[int(rng.integers(0, 3))]
-        ties.append(TieRecord(user_id, str(target), kind))
+        ties.append((user_id, str(target), kind))
     return ties
 
 
@@ -171,7 +169,7 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
     deb_planted = _planted_pairs("deb_hub", spec.planted_per_class)
     background = [f"bg_{i:04d}" for i in range(spec.background_targets)]
 
-    all_ties: list[TieRecord] = []
+    all_ties: list[Tie] = []
     truth_rows: list[tuple[str, str]] = []
     refute_phrases = [normalize_arabic(p) for p in DEFAULT_REFUTE_PHRASES]
 

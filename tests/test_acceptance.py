@@ -33,7 +33,6 @@ from quotematch.model import (
     LogitHyperparams,
     cross_validate,
     loss_and_grad,
-    loss_value,
     top_coefficients,
     train_logit,
     welch_t_test,
@@ -286,14 +285,18 @@ def test_gradient_matches_finite_differences_50_instances():
         b = float(rng.normal())
         l2 = float(rng.uniform(0.0, 3.0))
         _, gw, gb = loss_and_grad(w, b, X, y, l2)
+
+        def loss(w_, b_):
+            return loss_and_grad(w_, b_, X, y, l2)[0]
+
         eps = 1e-6
         fd = np.empty(d + 1)
         for j in range(d):
             wp, wm = w.copy(), w.copy()
             wp[j] += eps
             wm[j] -= eps
-            fd[j] = (loss_value(wp, b, X, y, l2) - loss_value(wm, b, X, y, l2)) / (2 * eps)
-        fd[d] = (loss_value(w, b + eps, X, y, l2) - loss_value(w, b - eps, X, y, l2)) / (2 * eps)
+            fd[j] = (loss(wp, b) - loss(wm, b)) / (2 * eps)
+        fd[d] = (loss(w, b + eps) - loss(w, b - eps)) / (2 * eps)
         analytic = np.append(gw, gb)
         rel = float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12))
         worst = max(worst, rel)

@@ -313,6 +313,21 @@ def test_timeline_bad_line_reports_number(tmp_path):
         read_timeline(path)
 
 
+def test_timeline_is_retweet_must_be_boolean(tmp_path):
+    path = tmp_path / "u1.jsonl"
+    path.write_text(
+        '{"id":"p1","user_id":"u1","text":"x","is_retweet":"false"}\n', encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"u1\.jsonl: bad post on line 1: is_retweet"):
+        read_timeline(path)
+    path.write_text(
+        '{"id":"p1","user_id":"u1","text":"x"}\n'
+        '{"id":"p2","user_id":"u1","text":"x","is_retweet":true}\n',
+        encoding="utf-8",
+    )
+    assert [post.is_retweet for post in read_timeline(path)] == [False, True]
+
+
 def test_stats_csv_roundtrip(tmp_path):
     rows = [
         (_stats(1, 3, 0, user_id="a", rt=0.5), BehaviorLabel.NEITHER),

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from quotematch import cli
 from quotematch.cli import main
 from quotematch.corpus import TSV_HEADER
 
@@ -254,6 +255,37 @@ def test_report_space_mismatch_exit_3(tmp_path, capsys):
                "--out-dir", str(tmp_path / "r")])
     assert rc == 3
     assert "feature space" in capsys.readouterr().err
+
+
+def test_scan_defaults_to_one_thread(tmp_path, monkeypatch):
+    monkeypatch.delenv("QUOTEMATCH_THREADS", raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("scan created a thread pool without QUOTEMATCH_THREADS")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    fx, work = tmp_path / "fx", tmp_path / "work"
+    _run_pipeline(fx, work, seed=3, n=6)
+    assert (work / "stats.csv").exists()
+
+
+def test_timeline_non_boolean_retweet_exit_4(tmp_path, capsys):
+    fx, work = tmp_path / "fx", tmp_path / "work"
+    work.mkdir()
+    assert main(["synth", "--out-dir", str(fx), "--n-per-class", "2",
+                 "--timeline-len", "4", "--seed", "1", "--two-refute", "0"]) == 0
+    assert main(["corpus", "build", "--input", str(fx / "corpus.tsv"),
+                 "--out", str(work / "corpus.tsv")]) == 0
+    assert main(["index", "--corpus", str(work / "corpus.tsv"),
+                 "--out", str(work / "index.bin")]) == 0
+    (fx / "timelines" / "circ_0000.jsonl").write_text(
+        '{"id":"p1","user_id":"circ_0000","text":"x","is_retweet":"false"}\n', encoding="utf-8"
+    )
+    rc = main(["scan", "--index", str(work / "index.bin"), "--corpus", str(work / "corpus.tsv"),
+               "--timelines", str(fx / "timelines"), "--out-stats", str(work / "stats.csv"),
+               "--out-matches", str(work / "matches.jsonl")])
+    assert rc == 4
+    assert "circ_0000.jsonl: bad post on line 1" in capsys.readouterr().err
 
 
 def test_scan_respects_thread_env(tmp_path, monkeypatch):

@@ -4,47 +4,56 @@ from hypothesis import given, strategies as st
 from quotematch.features import (
     FeatureVector,
     TieKind,
-    TieRecord,
     build_feature_space,
-    encode_user,
     encode_users,
+    kind_counts,
     load_space,
     load_vectors,
     prune_features,
     read_ties_csv,
     save_space,
     save_vectors,
+    tie_table,
     to_csr,
     write_ties_csv,
 )
 
 
 def _tie(user, target, kind=TieKind.FOLLOW):
-    return TieRecord(user, target, kind)
+    return (user, target, kind)
+
+
+def _space(ties):
+    return build_feature_space(tie_table(ties))
+
+
+def _encode(ties, space=None):
+    table = tie_table(ties)
+    return encode_users(table, space or build_feature_space(table))
 
 
 def test_same_target_different_kinds_two_columns():
     ties = [_tie("u", "page"), _tie("u", "page", TieKind.LIKE_AUTHOR)]
-    space = build_feature_space(ties)
+    space = _space(ties)
     assert space.n_columns == 2
     assert ("page", TieKind.FOLLOW) in space.column_of
     assert ("page", TieKind.LIKE_AUTHOR) in space.column_of
 
 
 def test_empty_ties_zero_columns():
-    space = build_feature_space([])
+    space = _space([])
     assert space.n_columns == 0
 
 
 def test_duplicate_records_collapse_support_once():
     ties = [_tie("u", "page"), _tie("u", "page"), _tie("v", "page")]
-    space = build_feature_space(ties)
+    space = _space(ties)
     assert space.n_columns == 1
     assert space.support == (2,)
 
 
 def test_self_ties_dropped():
-    space = build_feature_space([_tie("u", "u"), _tie("u", "p")])
+    space = _space([_tie("u", "u"), _tie("u", "p")])
     assert space.n_columns == 1
     assert space.columns[0][0] == "p"
 
@@ -55,7 +64,7 @@ def test_column_order_deterministic():
         _tie("u", "a", TieKind.LIKE_AUTHOR),
         _tie("u", "a", TieKind.FOLLOW),
     ]
-    space = build_feature_space(ties)
+    space = _space(ties)
     assert space.columns == (
         ("a", TieKind.FOLLOW),
         ("a", TieKind.LIKE_AUTHOR),
@@ -65,32 +74,32 @@ def test_column_order_deterministic():
 
 def test_encode_user_basic():
     ties = [_tie("u", "a"), _tie("u", "b"), _tie("u", "c", TieKind.LIKE_AUTHOR)]
-    space = build_feature_space(ties)
-    vec, dropped = encode_user("u", ties, space)
+    (vec,), dropped = _encode(ties)
+    assert vec.user_id == "u"
     assert len(vec.columns) == 3
     assert dropped == 0
     assert list(vec.columns) == sorted(vec.columns)
 
 
 def test_encode_user_no_ties():
-    space = build_feature_space([_tie("v", "a")])
-    vec, dropped = encode_user("u", [], space)
-    assert vec.columns == () and dropped == 0
+    space = _space([_tie("v", "a")])
+    assert _encode([], space) == ([], 0)
+    assert _encode([_tie("u", "u")], space) == ([], 0)
 
 
 def test_encode_user_unknown_pair_dropped():
-    space = build_feature_space([_tie("u", "a")])
-    vec, dropped = encode_user("u", [_tie("u", "a"), _tie("u", "unseen")], space)
+    space = _space([_tie("u", "a")])
+    (vec,), dropped = _encode([_tie("u", "a"), _tie("u", "unseen")], space)
     assert vec.columns == (0,)
     assert dropped == 1
+    (vec,), dropped = _encode([_tie("u", "unseen")], space)
+    assert vec == FeatureVector("u", ()) and dropped == 1
 
 
 def test_encode_input_order_invariance():
-    ties = [_tie("u", "a"), _tie("u", "b", TieKind.LIKE_AUTHOR), _tie("u", "c")]
-    space = build_feature_space(ties)
-    v1, _ = encode_user("u", ties, space)
-    v2, _ = encode_user("u", list(reversed(ties)), space)
-    assert v1 == v2
+    ties = [_tie("u", "a"), _tie("u", "b", TieKind.LIKE_AUTHOR), _tie("u", "c"), _tie("v", "a")]
+    space = _space(ties)
+    assert _encode(ties, space) == _encode(list(reversed(ties)), space)
 
 
 @given(
@@ -99,16 +108,70 @@ def test_encode_input_order_invariance():
             st.sampled_from(["t1", "t2", "t3", "t4"]),
             st.sampled_from(list(TieKind)),
         ),
+        min_size=1,
         max_size=8,
     )
 )
 def test_encode_round_trip(pairs):
-    ties = [TieRecord("u", t, k) for t, k in pairs]
-    space = build_feature_space(ties)
-    vec, dropped = encode_user("u", ties, space)
+    ties = [_tie("u", t, k) for t, k in pairs]
+    space = _space(ties)
+    (vec,), dropped = _encode(ties, space)
     assert dropped == 0
     decoded = {space.pair_of(c) for c in vec.columns}
     assert decoded == pairs
+
+
+def _reference(ties, space):
+    """Per-record encoding: distinct non-self pairs per user, looked up one by one."""
+    per_user = {}
+    for user, target, kind in ties:
+        if user != target:
+            per_user.setdefault(user, set()).add((target, kind))
+    support = {}
+    for pairs in per_user.values():
+        for pair in pairs:
+            support[pair] = support.get(pair, 0) + 1
+    columns = sorted(support, key=lambda p: (p[0], p[1].value))
+    vectors = [
+        FeatureVector(u, tuple(sorted(space.column_of[p] for p in pairs if p in space.column_of)))
+        for u, pairs in sorted(per_user.items())
+    ]
+    dropped = sum(1 for u in per_user for p in per_user[u] if p not in space.column_of)
+    return tuple(columns), tuple(support[p] for p in columns), vectors, dropped
+
+
+_IDS = st.sampled_from(["u", "v", "w", "a", "b", "\x00", "a\x00", "é", "ب", "a,b", ""])
+
+
+@given(
+    st.lists(st.tuples(_IDS, _IDS, st.sampled_from(list(TieKind))), max_size=40),
+    st.lists(st.tuples(_IDS, _IDS, st.sampled_from(list(TieKind))), max_size=10),
+)
+def test_array_encoding_matches_per_record_reference(ties, foreign):
+    space = _space(ties)
+    columns, support, _, _ = _reference(ties, space)
+    assert (space.columns, space.support) == (columns, support)
+    other = _space(foreign)
+    _, _, vectors, dropped = _reference(ties, other)
+    assert _encode(ties, other) == (vectors, dropped)
+
+
+def test_table_keeps_ids_distinct_by_trailing_nul():
+    table = tie_table([_tie("u", "t"), _tie("u", "t\x00"), _tie("u\x00", "t")])
+    assert table.users == ("u", "u\x00")
+    assert [pair[0] for pair in table.pairs] == ["t", "t\x00"]
+    assert set(table) == {_tie("u", "t"), _tie("u", "t\x00"), _tie("u\x00", "t")}
+
+
+def test_kind_counts_distinct_ties_self_ties_included():
+    ties = [
+        _tie("u", "a"),
+        _tie("u", "a"),
+        _tie("u", "u"),
+        _tie("u", "a", TieKind.LIKE_AUTHOR),
+        _tie("v", "b", TieKind.RETWEET_AUTHOR),
+    ]
+    assert kind_counts(tie_table(ties)) == {"u": (2, 0, 1), "v": (0, 1, 0)}
 
 
 def test_column_count_equals_distinct_pairs():
@@ -118,13 +181,13 @@ def test_column_count_equals_distinct_pairs():
         _tie("u1", "b", TieKind.RETWEET_AUTHOR),
         _tie("u2", "b", TieKind.LIKE_AUTHOR),
     ]
-    assert build_feature_space(ties).n_columns == 3
+    assert _space(ties).n_columns == 3
 
 
 def test_prune_identity_at_zero():
     ties = [_tie("u", "a"), _tie("v", "b")]
-    space = build_feature_space(ties)
-    vectors, _ = encode_users(ties, space)
+    space = _space(ties)
+    vectors, _ = _encode(ties, space)
     pruned_space, pruned_vectors = prune_features(space, vectors, 0)
     assert pruned_space.columns == space.columns
     assert pruned_vectors == vectors
@@ -132,8 +195,8 @@ def test_prune_identity_at_zero():
 
 def test_prune_drops_low_support_columns():
     ties = [_tie("u", "a"), _tie("v", "a"), _tie("u", "rare")]
-    space = build_feature_space(ties)
-    vectors, _ = encode_users(ties, space)
+    space = _space(ties)
+    vectors, _ = _encode(ties, space)
     pruned_space, pruned_vectors = prune_features(space, vectors, 2)
     assert pruned_space.columns == (("a", TieKind.FOLLOW),)
     by_user = {v.user_id: v for v in pruned_vectors}
@@ -143,8 +206,8 @@ def test_prune_drops_low_support_columns():
 
 def test_prune_everything():
     ties = [_tie("u", "a")]
-    space = build_feature_space(ties)
-    vectors, _ = encode_users(ties, space)
+    space = _space(ties)
+    vectors, _ = _encode(ties, space)
     pruned_space, pruned_vectors = prune_features(space, vectors, 5)
     assert pruned_space.n_columns == 0
     assert all(v.columns == () for v in pruned_vectors)
@@ -152,7 +215,7 @@ def test_prune_everything():
 
 def test_prune_negative_min_support():
     with pytest.raises(ValueError):
-        prune_features(build_feature_space([]), [], -1)
+        prune_features(_space([]), [], -1)
 
 
 def test_to_csr_shape_and_values():
@@ -183,9 +246,21 @@ def test_ties_csv_duplicates_collapse(tmp_path):
     assert len(read_ties_csv(path)) == 1
 
 
+def test_ties_csv_user_filter_still_validates_every_row(tmp_path):
+    path = tmp_path / "ties.csv"
+    path.write_text("user_id,target_id,kind\nu,a,follow\nv,b, Like\n", encoding="utf-8")
+    assert set(read_ties_csv(path, {"v"})) == {_tie("v", "b", TieKind.LIKE_AUTHOR)}
+    path.write_text("u,a,follow\nv,b,block\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"ties\.csv: line 2: unknown tie kind 'block'"):
+        read_ties_csv(path, {"u"})
+    path.write_text("u,a,follow\n\nv,b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"ties\.csv: line 3: expected 3 columns, got 2"):
+        read_ties_csv(path, {"u"})
+
+
 def test_space_json_roundtrip(tmp_path):
     ties = [_tie("u", "a"), _tie("v", "b", TieKind.LIKE_AUTHOR)]
-    space = build_feature_space(ties)
+    space = _space(ties)
     path = tmp_path / "space.json"
     save_space(space, path, ties_hash="abc")
     loaded = load_space(path)
@@ -204,6 +279,6 @@ def test_vectors_jsonl_roundtrip(tmp_path):
 
 
 def test_manifest_hash_changes_with_columns():
-    s1 = build_feature_space([_tie("u", "a")])
-    s2 = build_feature_space([_tie("u", "b")])
+    s1 = _space([_tie("u", "a")])
+    s2 = _space([_tie("u", "b")])
     assert s1.manifest_hash != s2.manifest_hash

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from quotematch.features import TieKind, build_feature_space, TieRecord
+from quotematch.features import TieKind, build_feature_space, tie_table
 from quotematch.model import (
     CoefficientReport,
     LogitHyperparams,
@@ -9,14 +10,19 @@ from quotematch.model import (
     compute_metrics,
     cross_validate,
     evaluate,
+    hessian_product,
     load_model,
     loss_and_grad,
-    loss_value,
     predict_labels,
     save_model,
     top_coefficients,
     train_logit,
 )
+
+
+def loss(w, b, X, y, l2):
+    return loss_and_grad(w, b, X, y, l2)[0]
+
 
 HP = LogitHyperparams(l2_strength=0.1, max_iters=2000, tolerance=1e-8, seed=0)
 
@@ -32,8 +38,7 @@ def _separable(n=40, seed=0):
 
 
 def _space(n):
-    ties = [TieRecord("u", f"t{i:03d}", TieKind.FOLLOW) for i in range(n)]
-    return build_feature_space(ties)
+    return build_feature_space(tie_table(("u", f"t{i:03d}", TieKind.FOLLOW) for i in range(n)))
 
 
 def test_train_separable_single_feature():
@@ -104,11 +109,40 @@ def test_gradient_matches_finite_differences():
             wp, wm = w.copy(), w.copy()
             wp[j] += eps
             wm[j] -= eps
-            fd[j] = (loss_value(wp, b, X, y, l2) - loss_value(wm, b, X, y, l2)) / (2 * eps)
-        fd[d] = (loss_value(w, b + eps, X, y, l2) - loss_value(w, b - eps, X, y, l2)) / (2 * eps)
+            fd[j] = (loss(wp, b, X, y, l2) - loss(wm, b, X, y, l2)) / (2 * eps)
+        fd[d] = (loss(w, b + eps, X, y, l2) - loss(w, b - eps, X, y, l2)) / (2 * eps)
         analytic = np.append(gw, gb)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-5
+
+
+def test_hessian_product_matches_gradient_differences():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        n, d = int(rng.integers(5, 20)), int(rng.integers(2, 8))
+        X = rng.normal(size=(n, d))
+        y = rng.choice([-1.0, 1.0], size=n)
+        w, b = rng.normal(size=d), float(rng.normal())
+        v_w, v_b = rng.normal(size=d), float(rng.normal())
+        l2 = float(rng.uniform(0.0, 2.0))
+        eps = 1e-6
+        _, gw_p, gb_p = loss_and_grad(w + eps * v_w, b + eps * v_b, X, y, l2)
+        _, gw_m, gb_m = loss_and_grad(w - eps * v_w, b - eps * v_b, X, y, l2)
+        fd = np.append(gw_p - gw_m, gb_p - gb_m) / (2 * eps)
+        analytic = hessian_product(w, b, X, y, l2, np.append(v_w, v_b))
+        assert np.linalg.norm(analytic - fd) <= 1e-6 * max(np.linalg.norm(analytic), 1.0)
+
+
+def test_train_sparse_and_dense_agree_and_converge():
+    X, y = _separable(seed=2)
+    dense = train_logit(X, y, HP)
+    packed = train_logit(sparse.csr_matrix(X), y, HP)
+    assert dense.converged and packed.converged
+    assert dense.final_grad_norm <= HP.tolerance
+    assert np.allclose(dense.weights, packed.weights, atol=1e-10)
+    assert dense.bias == pytest.approx(packed.bias, abs=1e-10)
+    _, gw, gb = loss_and_grad(dense.weights, dense.bias, X, y, HP.l2_strength)
+    assert np.sqrt(gw @ gw + gb * gb) <= HP.tolerance
 
 
 def test_duplicating_example_never_flips_predictions():
