@@ -11,7 +11,7 @@ from quotematch.behavior import (
     scan_timeline,
 )
 from quotematch.corpus import build_corpus
-from quotematch.matcher import MinHashParams, build_index
+from quotematch.matcher import build_index
 
 fabricated = "من قرا هذا الدعاء غفر له ما تقدم من ذنبه وما تاخر"
 authentic = "انما الاعمال بالنيات وانما لكل امرئ ما نوي"
@@ -19,7 +19,7 @@ corpus, _ = build_corpus([
     ("f1", "fabricated", "demo", fabricated),
     ("a1", "authentic", "demo", authentic),
 ])
-index = build_index(corpus, MinHashParams(seed=1))
+index = build_index(corpus)
 
 timeline = [
     Post("p1", "user_a", fabricated),                         # circulation
@@ -29,7 +29,7 @@ timeline = [
     Post("p5", "user_a", "تغريده عاديه عن الطقس اليوم", is_retweet=True),
     Post("p6", "user_a", "رد بسيط هذا حديث مكذوب", parent_id="p1"),  # refute via parent
 ]
-stats, matches = scan_timeline(timeline, index, corpus)
+stats, matches = scan_timeline(timeline, index)
 print("per-post matches:")
 for m in matches:
     print(f"  {m.post_id}: {m.quote_id} sim={m.similarity:.2f} -> {m.kind.value}")

@@ -21,10 +21,10 @@ steps = [
     # Normalize + dedup the quote corpus.
     ["corpus", "build", "--input", str(fixture / "corpus.tsv"),
      "--out", str(work / "corpus.tsv")],
-    # Band the MinHash signatures for sub-linear candidate lookup.
-    ["index", "--corpus", str(work / "corpus.tsv"),
-     "--out", str(work / "index.bin"), "--seed", "11"],
-    # Scan every timeline; emits per-user stats and a per-post match audit.
+    # Compile the corpus once: sorted ids, authenticity, shingle vocabulary, CSR.
+    ["index", "--corpus", str(work / "corpus.tsv"), "--out", str(work / "index.bin")],
+    # Scan every timeline (exact Jaccard against every quote sharing a word);
+    # emits per-user stats and a per-post match audit.
     ["scan", "--index", str(work / "index.bin"), "--corpus", str(work / "corpus.tsv"),
      "--timelines", str(fixture / "timelines"),
      "--out-stats", str(work / "stats.csv"),

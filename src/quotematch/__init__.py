@@ -30,7 +30,7 @@ from .features import (
     tie_table,
 )
 from .matcher import (
-    LshIndex,
+    CompiledIndex,
     MatchKind,
     MatchResult,
     MinHashParams,

@@ -9,6 +9,7 @@ side of the labeled dataset).
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -18,12 +19,12 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AuthenticityLevel, ReferenceCorpus
+from .artifacts import write_csv
+from .corpus import AuthenticityLevel
 from .matcher import (
     DEFAULT_REFUTES,
-    LshIndex,
+    CompiledIndex,
     MatchKind,
-    MatchMode,
     MatchResult,
     RefuteLexicon,
     contains_refute_term,
@@ -137,14 +138,12 @@ def write_timeline(posts: Sequence[Post], path: str | Path) -> None:
 
 def scan_timeline(
     posts: Sequence[Post],
-    index: LshIndex,
-    corpus: ReferenceCorpus,
+    index: CompiledIndex,
     refute_lexicon: RefuteLexicon = DEFAULT_REFUTES,
     threshold: float = 0.35,
     *,
     user_id: str | None = None,
     prefix_lexicon: PrefixLexicon | None = None,
-    mode: MatchMode = "exact",
 ) -> tuple[UserStats, list[MatchResult]]:
     """Run every post through the matcher and aggregate one user's counts.
 
@@ -169,11 +168,9 @@ def scan_timeline(
         result = match_post(
             p.text,
             index,
-            corpus,
             refute_lexicon,
             threshold,
             post_id=p.id,
-            mode=mode,
             prefix_lexicon=prefix_lexicon,
         )
         if result is not None:
@@ -347,40 +344,47 @@ def write_stats_csv(
     rows: Iterable[tuple[UserStats, BehaviorLabel | None]], path: str | Path
 ) -> None:
     """Write the stats CSV; the label column is left empty when unknown."""
-    lines = [",".join(STATS_CSV_FIELDS + ("label",))]
-    for stats, label in rows:
-        lines.append(
-            f"{stats.user_id},{stats.total_hadith},{stats.fabricated},"
-            f"{stats.refutes},{stats.retweet_fraction!r},"
-            f"{label.value if label is not None else ''}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        path,
+        STATS_CSV_FIELDS + ("label",),
+        (
+            (
+                stats.user_id,
+                str(stats.total_hadith),
+                str(stats.fabricated),
+                str(stats.refutes),
+                repr(stats.retweet_fraction),
+                label.value if label is not None else "",
+            )
+            for stats, label in rows
+        ),
+    )
 
 
 def read_stats_csv(path: str | Path) -> list[tuple[UserStats, BehaviorLabel | None]]:
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    expected = list(STATS_CSV_FIELDS + ("label",))
-    if header != expected and header != list(STATS_CSV_FIELDS):
-        raise ValueError(f"{path}: unexpected stats CSV header {header}")
-    out: list[tuple[UserStats, BehaviorLabel | None]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) < len(STATS_CSV_FIELDS):
-            raise ValueError(f"{path}: line {line_no}: expected >= 5 columns")
-        stats = UserStats(
-            user_id=parts[0],
-            total_hadith=int(parts[1]),
-            fabricated=int(parts[2]),
-            refutes=int(parts[3]),
-            retweet_fraction=float(parts[4]),
-        )
-        label: BehaviorLabel | None = None
-        if len(parts) > 5 and parts[5]:
-            label = BehaviorLabel(parts[5])
-        out.append((stats, label))
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        if header != list(STATS_CSV_FIELDS + ("label",)) and header != list(STATS_CSV_FIELDS):
+            raise ValueError(f"{path}: unexpected stats CSV header {header}")
+        out: list[tuple[UserStats, BehaviorLabel | None]] = []
+        for parts in reader:
+            if not "".join(parts).strip():
+                continue
+            try:
+                if len(parts) < len(STATS_CSV_FIELDS):
+                    raise ValueError(f"expected >= {len(STATS_CSV_FIELDS)} columns")
+                stats = UserStats(
+                    user_id=parts[0],
+                    total_hadith=int(parts[1]),
+                    fabricated=int(parts[2]),
+                    refutes=int(parts[3]),
+                    retweet_fraction=float(parts[4]),
+                )
+                label = BehaviorLabel(parts[5]) if len(parts) > 5 and parts[5] else None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            out.append((stats, label))
     return out

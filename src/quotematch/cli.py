@@ -4,8 +4,11 @@ train -> report, plus a synthetic fixture generator.
 Exit codes: 0 ok, 2 missing input file, 3 artifact version/hash mismatch,
 4 contract violation (bad data or parameters). Stage artifacts embed content
 hashes so a scan cannot silently run against the wrong index, nor a report
-against the wrong feature space. ``scan`` runs on one thread unless
-``QUOTEMATCH_THREADS`` asks for more; its per-post work holds the interpreter lock.
+against the wrong feature space. ``index`` compiles the corpus once; ``scan``
+reads that compiled index, checks it against the corpus file's hash, the
+prefix lexicon and ``--shingle-n``, and parses no corpus. ``scan`` runs on one
+thread unless ``QUOTEMATCH_THREADS`` asks for more; its per-post work holds
+the interpreter lock.
 """
 
 from __future__ import annotations
@@ -21,17 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import behavior, corpus as corpus_mod, features as features_mod, matcher, model as model_mod, synth
+from .artifacts import VersionMismatchError
 from .behavior import BehaviorLabel, DEFAULT_THRESHOLDS, LabelThresholds
-from .matcher import MinHashParams
 from .model import LogitHyperparams
 from .textnorm import PrefixLexicon
 
 
 class MissingInputError(Exception):
-    pass
-
-
-class VersionMismatchError(Exception):
     pass
 
 
@@ -124,38 +123,21 @@ def cmd_index(args) -> None:
     corpus_path = _require(args.corpus)
     lexicon = _prefix_lexicon(args)
     built, _ = corpus_mod.load_corpus(corpus_path, lexicon)
-    params = MinHashParams(k=args.minhash_k, seed=args.seed, bands=args.bands, rows=args.rows)
     index = matcher.build_index(
-        built, params, shingle_n=args.shingle_n, corpus_hash=_sha256(corpus_path)
+        built, args.shingle_n, corpus_hash=_sha256(corpus_path), prefix_lexicon=lexicon
     )
     matcher.save_index(index, args.out)
-    print(f"indexed {len(index)} quotes into {params.bands} bands of {params.rows} rows")
+    print(f"indexed {len(index)} quotes over {len(index.vocabulary)} distinct shingles")
 
 
 # ---------------------------------------------------------------------------
 # scan
 
 
-def _scan_one(
-    path: Path,
-    index,
-    ref_corpus,
-    refutes,
-    threshold: float,
-    prefixes,
-    max_posts: int,
-    mode: str,
-):
+def _scan_one(path: Path, index, refutes, threshold: float, prefixes, max_posts: int):
     posts = behavior.read_timeline(path)[:max_posts]
     return behavior.scan_timeline(
-        posts,
-        index,
-        ref_corpus,
-        refutes,
-        threshold,
-        user_id=path.stem,
-        prefix_lexicon=prefixes,
-        mode=mode,
+        posts, index, refutes, threshold, user_id=path.stem, prefix_lexicon=prefixes
     )
 
 
@@ -164,12 +146,12 @@ def cmd_scan(args) -> None:
     index_path = _require(args.index)
     timelines_dir = _require(args.timelines)
     lexicon = _prefix_lexicon(args)
-    ref_corpus, _ = corpus_mod.load_corpus(corpus_path, lexicon)
-    index = matcher.load_index(index_path, ref_corpus)
-    if index.corpus_hash and index.corpus_hash != _sha256(corpus_path):
-        raise VersionMismatchError(
-            f"index {index_path} was built from a different corpus file than {corpus_path}"
-        )
+    index = matcher.load_index(
+        index_path,
+        corpus_hash=_sha256(corpus_path),
+        prefix_lexicon=lexicon,
+        shingle_n=args.shingle_n,
+    )
     refutes = _refute_lexicon(args)
 
     files = sorted(Path(timelines_dir).glob("*.jsonl"))
@@ -177,9 +159,7 @@ def cmd_scan(args) -> None:
     threads = max(1, min(threads, len(files) or 1))
 
     def work(path: Path):
-        return _scan_one(
-            path, index, ref_corpus, refutes, args.threshold, lexicon, args.max_posts, args.mode
-        )
+        return _scan_one(path, index, refutes, args.threshold, lexicon, args.max_posts)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -455,27 +435,27 @@ def build_parser() -> argparse.ArgumentParser:
     filter_p.add_argument("--prefixes")
     filter_p.set_defaults(func=cmd_corpus_filter)
 
-    index_p = sub.add_parser("index", help="build the LSH index over a corpus")
+    index_p = sub.add_parser(
+        "index", help="compile a corpus into the exact-matching index that scan reads"
+    )
     index_p.add_argument("--corpus", required=True)
     index_p.add_argument("--out", required=True)
-    index_p.add_argument("--minhash-k", type=int, default=256)
-    index_p.add_argument("--bands", type=int, default=128)
-    index_p.add_argument("--rows", type=int, default=2)
-    index_p.add_argument("--seed", type=int, default=0)
-    index_p.add_argument("--shingle-n", type=int, default=1)
+    index_p.add_argument("--shingle-n", type=int, default=1, help="tokens per shingle")
     index_p.add_argument("--prefixes")
     index_p.set_defaults(func=cmd_index)
 
     scan_p = sub.add_parser("scan", help="scan timeline files against the index")
     scan_p.add_argument("--index", required=True)
-    scan_p.add_argument("--corpus", required=True)
+    scan_p.add_argument(
+        "--corpus", required=True, help="corpus file the index was built from (hashed, not parsed)"
+    )
     scan_p.add_argument("--timelines", required=True, help="directory of <user_id>.jsonl files")
     scan_p.add_argument("--out-stats", required=True)
     scan_p.add_argument("--out-matches", required=True)
     scan_p.add_argument("--threshold", type=float, default=0.35)
     scan_p.add_argument("--max-posts", type=int, default=3200)
     scan_p.add_argument(
-        "--mode", choices=("exact", "exhaustive", "signatures"), default="exact"
+        "--shingle-n", type=int, help="must equal the index's (default: take the index's)"
     )
     scan_p.add_argument("--refutes", help="refute lexicon file, one phrase per line")
     scan_p.add_argument("--prefixes")

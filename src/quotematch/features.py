@@ -24,6 +24,8 @@ from typing import Container, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from .artifacts import write_csv
+
 
 class TieKind(Enum):
     FOLLOW = "follow"
@@ -225,8 +227,7 @@ def read_ties_csv(path: str | Path, users: Container[str] | None = None) -> TieT
 
 def write_ties_csv(ties: Iterable[Tie], path: str | Path) -> None:
     rows = sorted({(user_id, target_id, kind.value) for user_id, target_id, kind in ties})
-    lines = [",".join(_TIES_HEADER)] + [",".join(r) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, _TIES_HEADER, rows)
 
 
 def save_space(space: FeatureSpace, path: str | Path, ties_hash: str | None = None) -> None:

@@ -1,26 +1,37 @@
-"""MinHash signatures, LSH banding index, and threshold matching of posts.
+"""Exact threshold matching of posts against a compiled reference corpus.
 
 A post matches a reference quote when the exact Jaccard similarity of their
-token shingle sets strictly exceeds the threshold (default 0.35). The LSH
-index only prunes candidates; by default every candidate is re-verified with
-exact Jaccard so matching is deterministic. A signature-only mode trades that
-guarantee for speed.
+token shingle sets strictly exceeds the threshold (default 0.35). ``index``
+compiles the corpus once (:func:`build_index`, :func:`save_index`): the quote
+ids in string order, their authenticity, the sorted shingle vocabulary and a
+quote x shingle CSR matrix. ``scan`` loads it and parses no corpus.
+
+Per post, :func:`query_candidates` counts the shingles each quote shares with
+the post over the inverted postings of that matrix (ScanCount; Li, Lu & Lu,
+ICDE 2008). Every quote that shares a shingle is scored exactly; nothing is
+pruned, so on Zipf-distributed text, where frequent words are shared, most
+of the corpus is scored for every post.
+
+The MinHash estimator (:func:`minhash_signature`, :func:`estimate_jaccard`)
+stands alone: neither the index nor the scan uses it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from hashlib import blake2b
+from functools import cached_property, lru_cache
+from hashlib import blake2b, sha256
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
+from .artifacts import VersionMismatchError
 from .corpus import AuthenticityLevel, ReferenceCorpus
 from .textnorm import (
+    DEFAULT_PREFIXES,
     PrefixLexicon,
     ShingleSet,
     normalize_arabic,
@@ -30,42 +41,29 @@ from .textnorm import (
 
 _MAX64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 # Non-empty signatures are clamped below the sentinel, so an empty-set
-# signature can never share a band with any non-empty one.
+# signature agrees with no non-empty one in any component.
 _SENTINEL = _MAX64
 _CLAMP = np.uint64(0xFFFFFFFFFFFFFFFE)
 
-INDEX_MAGIC = b"QMIDX001"
+INDEX_MAGIC = b"QMIDX002"
+_V1_MAGIC = b"QMIDX001"
+INDEX_FORMAT_VERSION = 2
 
 
 class MatcherError(ValueError):
-    """Invalid matcher parameters or incompatible signatures."""
+    """Invalid matcher parameters, signatures, or a malformed index file."""
 
 
 @dataclass(frozen=True)
 class MinHashParams:
-    """Signature size, seed, and banding layout.
-
-    The defaults (k=256, bands=128, rows=2) make candidate pruning effectively
-    lossless above the 0.35 match threshold: a pair with Jaccard s shares at
-    least one band with probability 1-(1-s^rows)^bands, which at s=0.35 is
-    1 - 5.4e-8. Fewer, wider bands prune harder but start dropping true
-    matches near the threshold.
-    """
+    """Signature size and seed of the MinHash estimator."""
 
     k: int = 256
     seed: int = 0
-    bands: int = 128
-    rows: int = 2
 
     def __post_init__(self) -> None:
         if self.k < 16:
             raise MatcherError(f"k must be >= 16, got {self.k}")
-        if self.bands < 1:
-            raise MatcherError(f"bands must be >= 1, got {self.bands}")
-        if self.bands * self.rows != self.k:
-            raise MatcherError(
-                f"bands*rows must equal k: {self.bands}*{self.rows} != {self.k}"
-            )
         if self.seed < 0:
             raise MatcherError(f"seed must be non-negative, got {self.seed}")
 
@@ -207,106 +205,130 @@ class MatchResult:
     kind: MatchKind
 
 
-@dataclass
-class LshIndex:
-    """Banding index over a reference corpus; immutable after build."""
+def _prefix_hash(lexicon: PrefixLexicon | None) -> str:
+    """Content hash of the prefix lexicon that stripping uses (the default for None)."""
+    patterns = (lexicon if lexicon is not None else DEFAULT_PREFIXES).patterns
+    return sha256(json.dumps(patterns, ensure_ascii=False).encode("utf-8")).hexdigest()
 
-    params: MinHashParams
-    shingle_n: int
+
+@dataclass(eq=False)
+class CompiledIndex:
+    """A reference corpus compiled for exact matching; immutable after build.
+
+    Rows are quotes in string order of their ids, so the first maximum over
+    rows is at the lowest quote id. Row ``r``'s shingles are
+    ``vocabulary[c]`` for ``c`` in ``columns[indptr[r]:indptr[r + 1]]``,
+    ascending. ``corpus_hash``, ``prefix_hash`` and ``shingle_n`` record what
+    the index was built from.
+    """
+
     quote_ids: tuple[str, ...]
-    signatures: np.ndarray  # (n_quotes, k) uint64
-    shingles_by_id: dict[str, ShingleSet]
+    authenticity: tuple[AuthenticityLevel, ...]
+    vocabulary: tuple[str, ...]
+    indptr: np.ndarray  # (n_quotes + 1,) int64
+    columns: np.ndarray  # (nnz,) int32
+    shingle_n: int
+    prefix_hash: str
     corpus_hash: str | None = None
-    _bands: list[dict[bytes, list[int]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._bands = _band_tables(self.signatures, self.params)
 
     def __len__(self) -> int:
         return len(self.quote_ids)
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Shingle count of each quote row."""
+        return np.diff(self.indptr)
 
-def _band_tables(signatures: np.ndarray, params: MinHashParams) -> list[dict[bytes, list[int]]]:
-    tables: list[dict[bytes, list[int]]] = [{} for _ in range(params.bands)]
-    for row_idx in range(signatures.shape[0]):
-        sig = signatures[row_idx]
-        for band in range(params.bands):
-            key = sig[band * params.rows : (band + 1) * params.rows].tobytes()
-            tables[band].setdefault(key, []).append(row_idx)
-    return tables
+    @cached_property
+    def column_of(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.vocabulary)}
+
+    @cached_property
+    def postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inverted CSR: the rows of shingle ``c`` are ``rows[ptr[c]:ptr[c + 1]]``, ascending."""
+        rows = np.repeat(np.arange(len(self), dtype=np.int32), self.sizes)
+        order = np.argsort(self.columns, kind="stable")
+        ptr = np.zeros(len(self.vocabulary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.columns, minlength=len(self.vocabulary)), out=ptr[1:])
+        return ptr, rows[order]
+
+    def quote_shingles(self, row: int) -> ShingleSet:
+        """Shingle set of quote ``row``. The index keeps no token counts, so
+        ``source_token_count`` is the shingle count."""
+        cols = self.columns[self.indptr[row] : self.indptr[row + 1]].tolist()
+        return ShingleSet(frozenset(self.vocabulary[c] for c in cols), len(cols))
 
 
 def build_index(
     corpus: ReferenceCorpus,
-    params: MinHashParams | None = None,
     shingle_n: int = 1,
+    *,
     corpus_hash: str | None = None,
-) -> LshIndex:
-    """Index every corpus quote into ``bands`` buckets; deterministic per seed."""
+    prefix_lexicon: PrefixLexicon | None = None,
+) -> CompiledIndex:
+    """Compile a corpus whose texts were prefix-stripped with ``prefix_lexicon``.
+
+    Every order is a sort, never a set's or dict's iteration order, so the
+    index is the same under any ``PYTHONHASHSEED``.
+    """
     if len(corpus) == 0:
         raise MatcherError("cannot index an empty corpus")
-    params = params or MinHashParams()
-    ids = []
-    shingle_sets = {}
-    sigs = np.empty((len(corpus), params.k), dtype=np.uint64)
-    for i, quote in enumerate(corpus.quotes):
-        s = shingle(quote.normalized_text, shingle_n)
-        ids.append(quote.id)
-        shingle_sets[quote.id] = s
-        sigs[i] = minhash_signature(s, params).values
-    return LshIndex(
-        params=params,
+    quotes = sorted(corpus.quotes, key=lambda q: q.id)
+    sets = [shingle(q.normalized_text, shingle_n).shingles for q in quotes]
+    vocabulary = sorted(frozenset().union(*sets))
+    column_of = {s: i for i, s in enumerate(vocabulary)}
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    cols = np.fromiter(
+        (column_of[s] for ss in sets for s in ss), dtype=np.int64, count=int(indptr[-1])
+    )
+    # Sorting row * |V| + column sorts each row's columns and keeps rows in place.
+    offset = np.repeat(np.arange(len(sets), dtype=np.int64) * len(vocabulary), sizes)
+    columns = (np.sort(offset + cols) - offset).astype(np.int32)
+    return CompiledIndex(
+        quote_ids=tuple(q.id for q in quotes),
+        authenticity=tuple(q.authenticity for q in quotes),
+        vocabulary=tuple(vocabulary),
+        indptr=indptr,
+        columns=columns,
         shingle_n=shingle_n,
-        quote_ids=tuple(ids),
-        signatures=sigs,
-        shingles_by_id=shingle_sets,
+        prefix_hash=_prefix_hash(prefix_lexicon),
         corpus_hash=corpus_hash,
     )
 
 
-def _candidate_rows(index: LshIndex, sig: MinHashSignature) -> set[int]:
-    rows = index.params.rows
-    found: set[int] = set()
-    for band in range(index.params.bands):
-        key = sig.values[band * rows : (band + 1) * rows].tobytes()
-        bucket = index._bands[band].get(key)
-        if bucket:
-            found.update(bucket)
-    return found
+def query_candidates(index: CompiledIndex, shingles: ShingleSet) -> np.ndarray:
+    """(row, intersection size) of every quote sharing a shingle with the post.
 
-
-def query_candidates(index: LshIndex, shingles: ShingleSet) -> set[str]:
-    """Ids of quotes sharing at least one full band with the query signature."""
-    if not shingles:
-        return set()
-    sig = minhash_signature(shingles, index.params)
-    return {index.quote_ids[i] for i in _candidate_rows(index, sig)}
-
-
-MatchMode = Literal["exact", "exhaustive", "signatures"]
+    An (n, 2) int64 array with rows ascending; shingles outside the corpus
+    vocabulary share nothing and are skipped.
+    """
+    column_of = index.column_of
+    cols = [column_of[s] for s in shingles.shingles if s in column_of]
+    if not cols:
+        return np.empty((0, 2), dtype=np.int64)
+    ptr, rows = index.postings
+    counts = np.bincount(np.concatenate([rows[ptr[c] : ptr[c + 1]] for c in cols]))
+    hit = np.flatnonzero(counts)
+    return np.column_stack((hit, counts[hit]))
 
 
 def match_post(
     post_text: str,
-    index: LshIndex,
-    corpus: ReferenceCorpus,
+    index: CompiledIndex,
     refute_lexicon: RefuteLexicon = DEFAULT_REFUTES,
     threshold: float = 0.35,
     *,
     post_id: str = "",
-    mode: MatchMode = "exact",
     prefix_lexicon: PrefixLexicon | None = None,
 ) -> MatchResult | None:
-    """Match one post against the indexed corpus.
+    """Match one post against the compiled corpus.
 
     Pipeline: normalize -> scan for refute terms (on the full normalized text,
-    before any stripping) -> strip quote prefix -> shingle -> candidates ->
-    verify -> keep the best candidate if its similarity strictly exceeds the
-    threshold. Ties break toward the lowest quote id.
-
-    Modes: "exact" verifies LSH candidates with exact Jaccard (default),
-    "exhaustive" verifies every corpus quote (no candidate pruning), and
-    "signatures" scores LSH candidates by signature agreement only.
+    before any stripping) -> strip quote prefix -> shingle -> count shared
+    shingles per quote -> keep the most similar quote if its Jaccard strictly
+    exceeds the threshold. Ties break toward the lowest quote id.
     """
     if not 0.0 < threshold < 1.0:
         raise MatcherError(f"threshold must be in (0, 1), got {threshold}")
@@ -316,96 +338,125 @@ def match_post(
     shingles = shingle(stripped, index.shingle_n)
     if not shingles:
         return None
-
-    if mode == "exhaustive":
-        candidates: Iterable[str] = index.quote_ids
-    else:
-        candidates = query_candidates(index, shingles)
-    if not candidates:
+    candidates = query_candidates(index, shingles)
+    if not len(candidates):
         return None
 
-    if mode == "signatures":
-        sig = minhash_signature(shingles, index.params)
-        row_of = {qid: i for i, qid in enumerate(index.quote_ids)}
-
-        def score(qid: str) -> float:
-            row = index.signatures[row_of[qid]]
-            return float(np.count_nonzero(row == sig.values)) / index.params.k
-
-    else:
-
-        def score(qid: str) -> float:
-            return exact_jaccard(shingles, index.shingles_by_id[qid])
-
-    best_id: str | None = None
-    best_sim = -1.0
-    for qid in sorted(candidates):
-        sim = score(qid)
-        if sim > best_sim:
-            best_id, best_sim = qid, sim
-    if best_id is None or best_sim <= threshold:
+    rows, inter = candidates[:, 0], candidates[:, 1]
+    # |p| counts every post shingle, those outside the vocabulary too.
+    sims = inter / (len(shingles) + index.sizes[rows] - inter)
+    best = int(np.argmax(sims))
+    if sims[best] <= threshold:
         return None
 
-    authenticity = corpus.by_id(best_id).authenticity
+    row = int(rows[best])
+    authenticity = index.authenticity[row]
     if authenticity is AuthenticityLevel.FABRICATED:
         kind = MatchKind.REFUTE if refuted else MatchKind.CIRCULATION
     else:
         kind = MatchKind.NON_FABRICATED_SHARE
     return MatchResult(
         post_id=post_id,
-        quote_id=best_id,
-        similarity=best_sim,
+        quote_id=index.quote_ids[row],
+        similarity=exact_jaccard(shingles, index.quote_shingles(row)),
         authenticity=authenticity,
         kind=kind,
     )
 
 
-def save_index(index: LshIndex, path: str | Path) -> None:
-    """Serialize to the versioned binary format (magic + JSON header + raw u64)."""
+def save_index(index: CompiledIndex, path: str | Path) -> None:
+    """Write magic, header length, JSON header, int64 ``indptr``, int32 ``columns``."""
     header = {
-        "format_version": 1,
-        "params": {
-            "k": index.params.k,
-            "seed": index.params.seed,
-            "bands": index.params.bands,
-            "rows": index.params.rows,
-        },
-        "shingle_n": index.shingle_n,
+        "format_version": INDEX_FORMAT_VERSION,
         "corpus_hash": index.corpus_hash,
+        "prefix_hash": index.prefix_hash,
+        "shingle_n": index.shingle_n,
         "quote_ids": list(index.quote_ids),
+        "authenticity": [a.value for a in index.authenticity],
+        "vocabulary": list(index.vocabulary),
+        "nnz": len(index.columns),
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(index.signatures, dtype="<u8").tobytes())
+        fh.write(np.ascontiguousarray(index.indptr, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(index.columns, dtype="<i4").tobytes())
 
 
-def load_index(path: str | Path, corpus: ReferenceCorpus) -> LshIndex:
-    """Load an index and re-attach quote shingle sets from the corpus."""
+def load_index(
+    path: str | Path,
+    *,
+    corpus_hash: str | None = None,
+    prefix_lexicon: PrefixLexicon | None = None,
+    shingle_n: int | None = None,
+) -> CompiledIndex:
+    """Load a compiled index and check it against what the caller will scan with.
+
+    Raises :class:`VersionMismatchError` for another format or magic, or when
+    the corpus hash (if given), the prefix lexicon or ``shingle_n`` (if given)
+    differ from the header; :class:`MatcherError` for a truncated or
+    malformed file.
+    """
     data = Path(path).read_bytes()
-    if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise MatcherError(f"not a quotematch index file: {path}")
-    offset = len(INDEX_MAGIC)
-    blob_len = int.from_bytes(data[offset : offset + 4], "little")
-    offset += 4
-    header = json.loads(data[offset : offset + blob_len].decode("utf-8"))
+    magic = data[: len(INDEX_MAGIC)]
+    if magic != INDEX_MAGIC:
+        if len(data) < len(INDEX_MAGIC) and INDEX_MAGIC.startswith(data):
+            raise MatcherError(f"{path}: truncated index file ({len(data)} bytes)")
+        if magic == _V1_MAGIC:
+            raise VersionMismatchError(
+                f"{path}: format version 1 index (MinHash/LSH); rebuild it with `quotematch index`"
+            )
+        raise VersionMismatchError(f"{path}: not a quotematch index file")
+    offset = len(INDEX_MAGIC) + 4
+    blob_len = int.from_bytes(data[len(INDEX_MAGIC) : offset], "little")
+    try:
+        header = json.loads(data[offset : offset + blob_len].decode("utf-8"))
+        version = header["format_version"]
+        if version != INDEX_FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"{path}: index format version {version}, expected {INDEX_FORMAT_VERSION}"
+            )
+        n, nnz = len(header["quote_ids"]), header["nnz"]
+        if not isinstance(nnz, int) or nnz < 0:
+            raise ValueError(f"bad entry count {nnz!r}")
+        vocabulary = tuple(header["vocabulary"])
+        authenticity = tuple(AuthenticityLevel(a) for a in header["authenticity"])
+        built_n, built_prefix = header["shingle_n"], header["prefix_hash"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise MatcherError(f"{path}: truncated or malformed index header: {exc}") from None
     offset += blob_len
-    params = MinHashParams(**header["params"])
-    quote_ids = tuple(header["quote_ids"])
-    sigs = np.frombuffer(data, dtype="<u8", offset=offset).reshape(len(quote_ids), params.k)
-    if set(quote_ids) != corpus.ids():
-        raise MatcherError("index quote ids do not match the supplied corpus")
-    shingle_n = header["shingle_n"]
-    shingle_sets = {
-        q.id: shingle(q.normalized_text, shingle_n) for q in corpus.quotes
-    }
-    return LshIndex(
-        params=params,
-        shingle_n=shingle_n,
-        quote_ids=quote_ids,
-        signatures=np.ascontiguousarray(sigs, dtype=np.uint64),
-        shingles_by_id=shingle_sets,
+    expected = offset + 8 * (n + 1) + 4 * nnz
+    if len(data) != expected:
+        raise MatcherError(f"{path}: truncated index file: {len(data)} bytes, expected {expected}")
+    indptr = np.frombuffer(data, dtype="<i8", count=n + 1, offset=offset).astype(np.int64)
+    columns = np.frombuffer(data, dtype="<i4", count=nnz, offset=offset + 8 * (n + 1))
+    columns = columns.astype(np.int32)
+    if (
+        len(authenticity) != n
+        or indptr[0] != 0
+        or indptr[-1] != nnz
+        or np.any(np.diff(indptr) < 0)
+        or (nnz and not 0 <= columns.min() <= columns.max() < len(vocabulary))
+    ):
+        raise MatcherError(f"{path}: malformed index: CSR arrays disagree with the header")
+
+    if corpus_hash is not None and header["corpus_hash"] != corpus_hash:
+        raise VersionMismatchError(f"index {path} was built from a different corpus file")
+    if built_prefix != _prefix_hash(prefix_lexicon):
+        raise VersionMismatchError(f"index {path} was built with a different prefix lexicon")
+    if shingle_n is not None and built_n != shingle_n:
+        raise VersionMismatchError(
+            f"index {path} was built with --shingle-n {built_n}, not {shingle_n}"
+        )
+    return CompiledIndex(
+        quote_ids=tuple(header["quote_ids"]),
+        authenticity=authenticity,
+        vocabulary=vocabulary,
+        indptr=indptr,
+        columns=columns,
+        shingle_n=built_n,
+        prefix_hash=built_prefix,
         corpus_hash=header["corpus_hash"],
     )

@@ -313,8 +313,19 @@ def save_model(model: LogitModel, path: str | Path, space_hash: str) -> None:
 
 
 def load_model(path: str | Path) -> tuple[LogitModel, str]:
-    """Load a model; returns it plus the feature-space hash it was trained on."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    """Load a model; returns it plus the feature-space hash it was trained on.
+
+    A file that is not JSON, or lacks a key, raises ``ValueError`` naming it.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in ("weights", "bias", "hyperparams", "converged", "final_grad_norm"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
     model = LogitModel(
         weights=np.asarray(payload["weights"], dtype=np.float64),
         bias=float(payload["bias"]),

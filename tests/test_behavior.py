@@ -18,7 +18,7 @@ from quotematch.behavior import (
     write_timeline,
 )
 from quotematch.corpus import build_corpus
-from quotematch.matcher import MatchKind, MinHashParams, build_index
+from quotematch.matcher import MatchKind, build_index
 
 FABRICATED = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
 AUTHENTIC = "one two three four five six seven eight nine ten"
@@ -27,7 +27,7 @@ CORPUS = build_corpus([
     ("qf", "fabricated", "t", FABRICATED),
     ("qa", "authentic", "t", AUTHENTIC),
 ])[0]
-INDEX = build_index(CORPUS, MinHashParams(seed=9))
+INDEX = build_index(CORPUS)
 
 
 def _stats(fabricated, total, refutes, user_id="u", rt=0.0):
@@ -40,7 +40,7 @@ def test_scan_counts_shares_by_kind():
         Post("p2", "u1", AUTHENTIC),
         Post("p3", "u1", "nothing related at all"),
     ]
-    stats, matches = scan_timeline(posts, INDEX, CORPUS)
+    stats, matches = scan_timeline(posts, INDEX)
     assert stats.total_hadith == 2
     assert stats.fabricated == 1
     assert stats.refutes == 0
@@ -49,7 +49,7 @@ def test_scan_counts_shares_by_kind():
 
 def test_scan_refute_term_in_matched_post():
     posts = [Post("p1", "u1", FABRICATED + " حديث موضوع")]
-    stats, matches = scan_timeline(posts, INDEX, CORPUS)
+    stats, matches = scan_timeline(posts, INDEX)
     assert stats.fabricated == 0
     assert stats.refutes == 1
     assert stats.total_hadith == 0
@@ -57,7 +57,7 @@ def test_scan_refute_term_in_matched_post():
 
 
 def test_scan_empty_timeline():
-    stats, matches = scan_timeline([], INDEX, CORPUS, user_id="u9")
+    stats, matches = scan_timeline([], INDEX, user_id="u9")
     assert stats == UserStats("u9", 0, 0, 0, 0.0)
     assert matches == []
 
@@ -65,7 +65,7 @@ def test_scan_empty_timeline():
 def test_scan_mixed_user_ids_error():
     posts = [Post("p1", "u1", "x"), Post("p2", "u2", "y")]
     with pytest.raises(ValueError, match="mixes user ids"):
-        scan_timeline(posts, INDEX, CORPUS)
+        scan_timeline(posts, INDEX)
 
 
 def test_scan_retweet_fraction_counts_all_posts():
@@ -75,7 +75,7 @@ def test_scan_retweet_fraction_counts_all_posts():
         Post("p3", "u1", "noise words", is_retweet=False),
         Post("p4", "u1", "more noise", is_retweet=False),
     ]
-    stats, _ = scan_timeline(posts, INDEX, CORPUS)
+    stats, _ = scan_timeline(posts, INDEX)
     assert stats.retweet_fraction == 0.5
 
 
@@ -86,7 +86,7 @@ def test_scan_parent_context_refute():
         Post("p3", "u1", "هذا حديث موضوع", parent_id="missing"),
         Post("p4", "u1", "هذا حديث موضوع"),  # no parent, no own match
     ]
-    stats, matches = scan_timeline(posts, INDEX, CORPUS)
+    stats, matches = scan_timeline(posts, INDEX)
     assert stats.fabricated == 1
     assert stats.refutes == 1  # only the reply whose parent matched
     # Conservation: every post lands in exactly one bucket.
@@ -99,7 +99,7 @@ def test_scan_parent_refute_requires_fabricated_parent():
         Post("p1", "u1", AUTHENTIC),
         Post("p2", "u1", "هذا حديث موضوع", parent_id="p1"),
     ]
-    stats, _ = scan_timeline(posts, INDEX, CORPUS)
+    stats, _ = scan_timeline(posts, INDEX)
     assert stats.refutes == 0
 
 
@@ -121,7 +121,7 @@ def test_scan_count_conservation_random():
             else:
                 text = " ".join(rng.choice(["zz", "yy", "xx", "ww", "vv"], size=4, replace=False))
             posts.append(Post(f"p{i}", "u1", text, is_retweet=bool(rng.random() < 0.5)))
-        stats, matches = scan_timeline(posts, INDEX, CORPUS)
+        stats, matches = scan_timeline(posts, INDEX)
         non_fab = stats.total_hadith - stats.fabricated
         unmatched = len(posts) - stats.fabricated - non_fab - stats.refutes
         assert stats.fabricated + non_fab + stats.refutes + unmatched == len(posts)
@@ -337,6 +337,51 @@ def test_stats_csv_roundtrip(tmp_path):
     write_stats_csv(rows, path)
     loaded = read_stats_csv(path)
     assert loaded == rows
+
+
+AWKWARD_IDS = ("7,3", 'say "hi"', "مستخدم،١,٢", "line\nbreak", " padded ", "")
+
+
+def test_stats_csv_roundtrip_awkward_ids(tmp_path):
+    rows = [
+        (_stats(1, 3, 0, user_id=uid, rt=0.5), BehaviorLabel.CIRCULATOR if i % 2 else None)
+        for i, uid in enumerate(AWKWARD_IDS)
+    ]
+    path = tmp_path / "stats.csv"
+    write_stats_csv(rows, path)
+    assert read_stats_csv(path) == rows
+
+
+@given(st.lists(st.text(st.characters(exclude_categories=("Cs",))), unique=True, max_size=8))
+def test_stats_csv_roundtrip_any_unicode_id(tmp_path_factory, user_ids):
+    rows = [(_stats(0, 1, 2, user_id=uid, rt=1 / 3), None) for uid in user_ids]
+    path = tmp_path_factory.mktemp("stats") / "stats.csv"
+    write_stats_csv(rows, path)
+    assert read_stats_csv(path) == rows
+
+
+def test_stats_csv_plain_ids_bytes(tmp_path):
+    rows = [
+        (_stats(1, 3, 0, user_id="a", rt=0.5), BehaviorLabel.NEITHER),
+        (_stats(0, 2, 4, user_id="b", rt=0.1), None),
+    ]
+    path = tmp_path / "stats.csv"
+    write_stats_csv(rows, path)
+    assert path.read_bytes() == (
+        b"user_id,total_hadith,fabricated,refutes,retweet_fraction,label\n"
+        b"a,3,1,0,0.5,neither\nb,2,0,4,0.1,\n"
+    )
+
+
+def test_stats_csv_bad_count_names_file_and_line(tmp_path):
+    path = tmp_path / "stats.csv"
+    path.write_text(
+        "user_id,total_hadith,fabricated,refutes,retweet_fraction,label\n"
+        "a,3,1,0,0.5,\nb,x,0,0,0.0,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"stats\.csv: line 3: invalid literal"):
+        read_stats_csv(path)
 
 
 def test_thresholds_validation():

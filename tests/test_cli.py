@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from quotematch import cli
@@ -30,8 +33,7 @@ def _run_pipeline(fixture_dir: Path, work_dir: Path, seed: int = 5, n: int = 20)
         "--out", str(work_dir / "corpus.tsv"),
     ]) == 0
     assert main([
-        "index", "--corpus", str(work_dir / "corpus.tsv"),
-        "--out", str(work_dir / "index.bin"), "--seed", str(seed),
+        "index", "--corpus", str(work_dir / "corpus.tsv"), "--out", str(work_dir / "index.bin"),
     ]) == 0
     assert main([
         "scan", "--index", str(work_dir / "index.bin"),
@@ -120,6 +122,90 @@ def test_scan_version_mismatch_exit_3(tmp_path, capsys):
                "--out-matches", str(tmp_path / "m.jsonl")])
     assert rc == 3
     assert "different corpus" in capsys.readouterr().err
+
+
+def _index_and_scan(tmp_path, index_args=(), scan_args=()):
+    _tsv(tmp_path / "c.tsv", [("q1", "fabricated", "s", "نص اول للفهرس")])
+    assert main(["index", "--corpus", str(tmp_path / "c.tsv"),
+                 "--out", str(tmp_path / "i.bin"), *index_args]) == 0
+    (tmp_path / "timelines").mkdir(exist_ok=True)
+    return lambda: main([
+        "scan", "--index", str(tmp_path / "i.bin"), "--corpus", str(tmp_path / "c.tsv"),
+        "--timelines", str(tmp_path / "timelines"), "--out-stats", str(tmp_path / "s.csv"),
+        "--out-matches", str(tmp_path / "m.jsonl"), *scan_args,
+    ])
+
+
+def test_scan_version_1_index_exit_3(tmp_path, capsys):
+    scan = _index_and_scan(tmp_path)
+    (tmp_path / "i.bin").write_bytes(b"QMIDX001" + (32).to_bytes(4, "little") + b"{}")
+    assert scan() == 3
+    assert "i.bin: format version 1" in capsys.readouterr().err
+
+
+def test_scan_truncated_index_exit_4(tmp_path, capsys):
+    scan = _index_and_scan(tmp_path)
+    data = (tmp_path / "i.bin").read_bytes()
+    (tmp_path / "i.bin").write_bytes(data[:-3])
+    assert scan() == 4
+    assert "i.bin: truncated index file" in capsys.readouterr().err
+
+
+def test_scan_prefix_lexicon_mismatch_exit_3(tmp_path, capsys):
+    (tmp_path / "prefixes.txt").write_text("قال الامام\n", encoding="utf-8")
+    scan = _index_and_scan(tmp_path, scan_args=("--prefixes", str(tmp_path / "prefixes.txt")))
+    assert scan() == 3
+    assert "different prefix lexicon" in capsys.readouterr().err
+
+
+def test_scan_shingle_n_mismatch_exit_3(tmp_path, capsys):
+    assert _index_and_scan(tmp_path, ("--shingle-n", "2"), ("--shingle-n", "1"))() == 3
+    assert "--shingle-n 2, not 1" in capsys.readouterr().err
+    assert _index_and_scan(tmp_path, ("--shingle-n", "2"), ("--shingle-n", "2"))() == 0
+    assert _index_and_scan(tmp_path, ("--shingle-n", "2"))() == 0
+
+
+def test_report_model_without_keys_exit_4(tmp_path, capsys):
+    fx, work = tmp_path / "fx", tmp_path / "work"
+    _run_pipeline(fx, work, seed=3, n=6)
+    (work / "model.json").write_text("{}\n", encoding="utf-8")
+    rc = main(["report", "--model", str(work / "model.json"), "--space", str(work / "space.json"),
+               "--out-dir", str(work / "r")])
+    assert rc == 4
+    assert "model.json: missing key 'weights'" in capsys.readouterr().err
+
+
+_HASH_SEED_RUN = """
+import sys
+from quotematch.cli import main
+fx, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["corpus", "build", "--input", fx + "/corpus.tsv", "--out", out + "/corpus.tsv"],
+    ["index", "--corpus", out + "/corpus.tsv", "--out", out + "/index.bin"],
+    ["scan", "--index", out + "/index.bin", "--corpus", out + "/corpus.tsv",
+     "--timelines", fx + "/timelines", "--out-stats", out + "/stats.csv",
+     "--out-matches", out + "/matches.jsonl"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_index_and_scan_identical_across_hash_seeds(tmp_path):
+    fx = tmp_path / "fx"
+    assert main(["synth", "--out-dir", str(fx), "--n-per-class", "20",
+                 "--timeline-len", "12", "--seed", "4", "--two-refute", "5"]) == 0
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", _HASH_SEED_RUN, str(fx), str(out)],
+                       env=env, check=True, timeout=300)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("index.bin", "stats.csv", "matches.jsonl")})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["matches.jsonl"]
 
 
 def test_scan_empty_timelines_dir(tmp_path):

@@ -233,6 +233,31 @@ def test_ties_csv_roundtrip(tmp_path):
     assert set(loaded) == set(ties)
 
 
+def test_ties_csv_roundtrip_awkward_ids(tmp_path):
+    ids = ("7,3", 'say "hi"', "صفحة،١,٢", "line\nbreak", " padded ")
+    ties = [_tie(u, t, TieKind.LIKE_AUTHOR) for u in ids for t in ids]
+    path = tmp_path / "ties.csv"
+    write_ties_csv(ties, path)
+    assert set(read_ties_csv(path)) == set(ties)
+
+
+_ANY_ID = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@given(st.lists(st.tuples(_ANY_ID, _ANY_ID), max_size=8))
+def test_ties_csv_roundtrip_any_unicode_id(tmp_path_factory, pairs):
+    ties = [_tie(u, t) for u, t in pairs]
+    path = tmp_path_factory.mktemp("ties") / "ties.csv"
+    write_ties_csv(ties, path)
+    assert set(read_ties_csv(path)) == set(ties)
+
+
+def test_ties_csv_plain_ids_bytes(tmp_path):
+    path = tmp_path / "ties.csv"
+    write_ties_csv([_tie("v", "b", TieKind.RETWEET_AUTHOR), _tie("u", "a")], path)
+    assert path.read_bytes() == b"user_id,target_id,kind\nu,a,follow\nv,b,retweet\n"
+
+
 def test_ties_csv_bad_kind(tmp_path):
     path = tmp_path / "ties.csv"
     path.write_text("user_id,target_id,kind\nu,a,block\n", encoding="utf-8")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quotematch.artifacts import VersionMismatchError
 from quotematch.corpus import AuthenticityLevel, build_corpus
 from quotematch.matcher import (
     DEFAULT_REFUTE_PHRASES,
     DEFAULT_REFUTES,
+    INDEX_MAGIC,
     MatcherError,
     MatchKind,
     MinHashParams,
@@ -20,7 +22,7 @@ from quotematch.matcher import (
     query_candidates,
     save_index,
 )
-from quotematch.textnorm import ShingleSet, shingle
+from quotematch.textnorm import PrefixLexicon, ShingleSet, shingle
 
 PARAMS = MinHashParams(seed=123)
 
@@ -42,11 +44,9 @@ FIXTURE_ROWS = [
 
 def test_params_validation():
     with pytest.raises(MatcherError):
-        MinHashParams(k=256, bands=10, rows=10)
+        MinHashParams(k=8)
     with pytest.raises(MatcherError):
-        MinHashParams(k=8, bands=4, rows=2)
-    with pytest.raises(MatcherError):
-        MinHashParams(k=256, bands=0, rows=1)
+        MinHashParams(seed=-1)
 
 
 def test_signature_deterministic():
@@ -67,7 +67,7 @@ def test_empty_set_sentinel():
     assert sig.is_sentinel()
     nonempty = minhash_signature(_sset("a"), PARAMS)
     # Non-empty signatures are clamped below the sentinel in every component,
-    # so no band of the sentinel can ever match a non-empty band.
+    # so the empty set's signature agrees with no non-empty one anywhere.
     assert not np.any(nonempty.values == np.uint64(0xFFFFFFFFFFFFFFFF))
 
 
@@ -98,8 +98,8 @@ def test_estimate_disjoint_sets_near_zero():
 
 
 def test_estimate_mismatched_params_error():
-    a = minhash_signature(_sset("a"), MinHashParams(k=256, bands=128, rows=2))
-    b = minhash_signature(_sset("a"), MinHashParams(k=64, bands=32, rows=2))
+    a = minhash_signature(_sset("a"), MinHashParams(k=256))
+    b = minhash_signature(_sset("a"), MinHashParams(k=64))
     with pytest.raises(MatcherError):
         estimate_jaccard(a, b)
     c = minhash_signature(_sset("a"), MinHashParams(seed=1))
@@ -127,38 +127,39 @@ def test_exact_jaccard_symmetric_in_range(xs, ys):
     assert sim == exact_jaccard(b, a)
 
 
-def test_build_index_single_quote_in_every_band():
+def test_build_index_single_quote():
     corpus = _corpus(FIXTURE_ROWS[:1])
-    ix = build_index(corpus, PARAMS)
+    ix = build_index(corpus)
     assert len(ix) == 1
-    assert all(len(table) == 1 for table in ix._bands)
+    assert ix.vocabulary == tuple(sorted(corpus.quotes[0].normalized_text.split()))
+    assert ix.columns.tolist() == list(range(8)) and ix.indptr.tolist() == [0, 8]
     candidates = query_candidates(ix, shingle(corpus.quotes[0].normalized_text))
-    assert candidates == {"q01"}
+    assert candidates.tolist() == [[0, 8]]
 
 
 def test_build_index_empty_corpus_error():
     from quotematch.corpus import ReferenceCorpus
 
     with pytest.raises(MatcherError):
-        build_index(ReferenceCorpus([], []), PARAMS)
+        build_index(ReferenceCorpus([], []))
 
 
 def test_query_disjoint_vocabulary_empty():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    assert query_candidates(ix, _sset("zz1", "zz2", "zz3")) == set()
+    ix = build_index(corpus)
+    assert query_candidates(ix, _sset("zz1", "zz2", "zz3")).shape == (0, 2)
 
 
 def test_query_empty_shingles_empty():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    assert query_candidates(ix, _sset()) == set()
+    ix = build_index(corpus)
+    assert query_candidates(ix, _sset()).shape == (0, 2)
 
 
 def test_match_verbatim_fabricated_is_circulation():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    r = match_post(FIXTURE_ROWS[0][3], ix, corpus, post_id="p")
+    ix = build_index(corpus)
+    r = match_post(FIXTURE_ROWS[0][3], ix, post_id="p")
     assert r is not None
     assert r.quote_id == "q01" and r.similarity == 1.0
     assert r.kind is MatchKind.CIRCULATION
@@ -167,27 +168,27 @@ def test_match_verbatim_fabricated_is_circulation():
 
 def test_match_refute_term_overrides_circulation():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    r = match_post(FIXTURE_ROWS[0][3] + " حديث موضوع", ix, corpus)
+    ix = build_index(corpus)
+    r = match_post(FIXTURE_ROWS[0][3] + " حديث موضوع", ix)
     assert r is not None and r.kind is MatchKind.REFUTE
 
 
 def test_match_non_fabricated_share_even_with_term():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    r = match_post(FIXTURE_ROWS[1][3] + " حديث موضوع", ix, corpus)
+    ix = build_index(corpus)
+    r = match_post(FIXTURE_ROWS[1][3] + " حديث موضوع", ix)
     assert r is not None and r.kind is MatchKind.NON_FABRICATED_SHARE
 
 
 def test_match_partial_overlap_just_above_threshold():
     # Post shares 4 of 10 quote tokens and nothing else: J = 4/10 = 0.40.
     corpus = _corpus([("q", "fabricated", "t", "t1 t2 t3 t4 t5 t6 t7 t8 t9 t10")])
-    ix = build_index(corpus, PARAMS)
+    ix = build_index(corpus)
     post = "t1 t2 t3 t4"
     qset = set("t1 t2 t3 t4 t5 t6 t7 t8 t9 t10".split())
     pset = set(post.split())
     assert len(pset & qset) / len(pset | qset) == 0.40  # brute-force check
-    r = match_post(post, ix, corpus)
+    r = match_post(post, ix)
     assert r is not None and r.kind is MatchKind.CIRCULATION
     assert abs(r.similarity - 0.40) < 1e-12
 
@@ -196,8 +197,8 @@ def test_match_exactly_at_threshold_is_rejected():
     # J = 7/20 = 0.35 must NOT match: the rule is strictly greater than.
     tokens = [f"t{i}" for i in range(20)]
     corpus = _corpus([("q", "fabricated", "t", " ".join(tokens))])
-    ix = build_index(corpus, PARAMS)
-    assert match_post(" ".join(tokens[:7]), ix, corpus) is None
+    ix = build_index(corpus)
+    assert match_post(" ".join(tokens[:7]), ix) is None
 
 
 def test_match_tie_breaks_to_lowest_quote_id():
@@ -205,36 +206,17 @@ def test_match_tie_breaks_to_lowest_quote_id():
         ("qa", "fabricated", "t", "shared uniqueA"),
         ("qb", "fabricated", "t", "shared uniqueB"),
     ])
-    ix = build_index(corpus, PARAMS)
+    ix = build_index(corpus)
     # J = 1/2 against both quotes.
-    r = match_post("shared", ix, corpus)
+    r = match_post("shared", ix)
     assert r is not None and r.quote_id == "qa"
 
 
 def test_match_threshold_validation():
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
+    ix = build_index(corpus)
     with pytest.raises(MatcherError):
-        match_post("x", ix, corpus, threshold=0.0)
-
-
-def test_match_modes_agree_on_fixture():
-    corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    for text in (FIXTURE_ROWS[0][3], FIXTURE_ROWS[2][3] + " extra words here", "nothing related"):
-        exact = match_post(text, ix, corpus, mode="exact")
-        exhaustive = match_post(text, ix, corpus, mode="exhaustive")
-        assert (exact is None) == (exhaustive is None)
-        if exact is not None:
-            assert exact.quote_id == exhaustive.quote_id
-            assert exact.similarity == exhaustive.similarity
-
-
-def test_match_signature_mode_on_verbatim():
-    corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    r = match_post(FIXTURE_ROWS[0][3], ix, corpus, mode="signatures")
-    assert r is not None and r.quote_id == "q01" and r.similarity == 1.0
+        match_post("x", ix, threshold=0.0)
 
 
 def test_refute_lexicon_defaults():
@@ -274,41 +256,108 @@ def test_refute_lexicon_file(tmp_path):
 def test_refute_dominance_never_circulation(seed):
     rng = np.random.default_rng(seed)
     corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
+    ix = build_index(corpus)
     base = FIXTURE_ROWS[0][3].split()
     take = rng.integers(1, len(base) + 1)
     words = list(rng.choice(base, size=take, replace=False))
     phrase = DEFAULT_REFUTE_PHRASES[int(rng.integers(0, len(DEFAULT_REFUTE_PHRASES)))]
-    r = match_post(" ".join(words) + " " + phrase, ix, corpus)
+    r = match_post(" ".join(words) + " " + phrase, ix)
     assert r is None or r.kind is not MatchKind.CIRCULATION
 
 
-def test_index_save_load_roundtrip(tmp_path):
-    corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS, corpus_hash="deadbeef")
+def _saved(tmp_path, corpus=None, **kwargs):
+    ix = build_index(corpus or _corpus(FIXTURE_ROWS), **kwargs)
     path = tmp_path / "index.bin"
     save_index(ix, path)
-    loaded = load_index(path, corpus)
-    assert loaded.params == ix.params
-    assert loaded.quote_ids == ix.quote_ids
-    assert loaded.corpus_hash == "deadbeef"
-    assert np.array_equal(loaded.signatures, ix.signatures)
-    query = shingle(corpus.quotes[2].normalized_text)
-    assert query_candidates(loaded, query) == query_candidates(ix, query)
+    return ix, path
+
+
+def test_index_save_load_roundtrip(tmp_path):
+    ix, path = _saved(tmp_path, corpus_hash="deadbeef")
+    loaded = load_index(path, corpus_hash="deadbeef")
+    assert loaded.quote_ids == ix.quote_ids == ("q01", "q02", "q03")
+    assert loaded.authenticity == ix.authenticity
+    assert loaded.vocabulary == ix.vocabulary
+    assert loaded.corpus_hash == "deadbeef" and loaded.shingle_n == 1
+    assert np.array_equal(loaded.indptr, ix.indptr)
+    assert np.array_equal(loaded.columns, ix.columns)
+    query = shingle(_corpus(FIXTURE_ROWS).quotes[2].normalized_text + " zz")
+    assert np.array_equal(query_candidates(loaded, query), query_candidates(ix, query))
 
 
 def test_index_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"NOTANIDX" + b"\x00" * 16)
-    with pytest.raises(MatcherError):
-        load_index(path, _corpus(FIXTURE_ROWS))
+    with pytest.raises(VersionMismatchError, match="bogus.bin"):
+        load_index(path)
+
+
+def test_index_load_rejects_version_1(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"QMIDX001" + b"\x00" * 16)
+    with pytest.raises(VersionMismatchError, match=r"v1\.bin: format version 1"):
+        load_index(path)
+
+
+def test_index_load_rejects_truncation(tmp_path):
+    _, path = _saved(tmp_path)
+    data = path.read_bytes()
+    for size in (0, 3, len(INDEX_MAGIC) + 2, len(INDEX_MAGIC) + 40, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(MatcherError, match=r"index\.bin: truncated"):
+            load_index(path)
 
 
 def test_index_load_rejects_wrong_corpus(tmp_path):
-    corpus = _corpus(FIXTURE_ROWS)
-    ix = build_index(corpus, PARAMS)
-    path = tmp_path / "index.bin"
-    save_index(ix, path)
-    other = _corpus([("zz", "fabricated", "t", "different corpus entirely")])
-    with pytest.raises(MatcherError):
-        load_index(path, other)
+    _, path = _saved(tmp_path, corpus_hash="deadbeef")
+    with pytest.raises(VersionMismatchError, match="different corpus"):
+        load_index(path, corpus_hash="other")
+
+
+def test_index_load_rejects_other_prefixes_and_shingle_n(tmp_path):
+    _, path = _saved(tmp_path, shingle_n=2)
+    other = PrefixLexicon.from_patterns(["قال"])
+    with pytest.raises(VersionMismatchError, match="prefix lexicon"):
+        load_index(path, prefix_lexicon=other)
+    with pytest.raises(VersionMismatchError, match="--shingle-n 2, not 1"):
+        load_index(path, shingle_n=1)
+    assert load_index(path, shingle_n=2).shingle_n == 2
+
+
+def test_index_bytes_independent_of_corpus_order(tmp_path):
+    rows = FIXTURE_ROWS + [("q10", "weak", "t", "alpha one red"), ("q9", "good", "t", "beta two")]
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_index(build_index(_corpus(rows)), a)
+    save_index(build_index(_corpus(rows[::-1])), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@given(
+    st.lists(st.sets(st.sampled_from("abcdefghij"), min_size=1, max_size=6), min_size=1,
+             max_size=12, unique_by=frozenset),
+    st.sets(st.sampled_from("abcdefghijxyz"), max_size=8),
+)
+def test_query_candidates_equal_brute_force_counts(quote_sets, post):
+    rows = [(f"q{i}", "weak", "t", " ".join(sorted(q))) for i, q in enumerate(quote_sets)]
+    ix = build_index(_corpus(rows))
+    want = [
+        [row, len(set(ix.quote_shingles(row).shingles) & post)]
+        for row in range(len(ix))
+        if set(ix.quote_shingles(row).shingles) & post
+    ]
+    assert query_candidates(ix, _sset(*post)).tolist() == want
+
+
+def test_match_tie_breaks_in_string_order_not_corpus_order():
+    # J = 3/4 against both; "q10" sorts before "q9".
+    corpus = _corpus([("q9", "fabricated", "t", "a b c d"), ("q10", "authentic", "t", "a b c e")])
+    r = match_post("a b c", build_index(corpus))
+    assert r is not None and r.quote_id == "q10" and r.kind is MatchKind.NON_FABRICATED_SHARE
+
+
+def test_match_union_counts_out_of_vocabulary_post_tokens():
+    # 4 of 10 quote tokens: 4/10 alone, but two unknown tokens make it 4/12 <= 0.35.
+    corpus = _corpus([("q", "fabricated", "t", "t1 t2 t3 t4 t5 t6 t7 t8 t9 t10")])
+    ix = build_index(corpus)
+    assert match_post("t1 t2 t3 t4", ix).similarity == 0.4
+    assert match_post("t1 t2 t3 t4 zz1 zz2", ix) is None
