@@ -5,8 +5,8 @@ Exit codes: 0 ok, 2 missing input file, 3 artifact version/hash mismatch,
 4 contract violation (bad data or parameters). Stage artifacts embed content
 hashes so a scan cannot silently run against the wrong index, nor a report
 against the wrong feature space. ``index`` compiles the corpus once; ``scan``
-reads that compiled index, checks it against the corpus file's hash, the
-prefix lexicon and ``--shingle-n``, and parses no corpus. ``scan`` runs on one
+reads that compiled index, checks it against the corpus file's hash and the
+prefix lexicon, scans with the index's shingle size, and parses no corpus. ``scan`` runs on one
 thread unless ``QUOTEMATCH_THREADS`` asks for more; its per-post work holds
 the interpreter lock.
 """
@@ -150,7 +150,6 @@ def cmd_scan(args) -> None:
         index_path,
         corpus_hash=_sha256(corpus_path),
         prefix_lexicon=lexicon,
-        shingle_n=args.shingle_n,
     )
     refutes = _refute_lexicon(args)
 
@@ -454,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--out-matches", required=True)
     scan_p.add_argument("--threshold", type=float, default=0.35)
     scan_p.add_argument("--max-posts", type=int, default=3200)
-    scan_p.add_argument(
-        "--shingle-n", type=int, help="must equal the index's (default: take the index's)"
-    )
     scan_p.add_argument("--refutes", help="refute lexicon file, one phrase per line")
     scan_p.add_argument("--prefixes")
     scan_p.set_defaults(func=cmd_scan)

@@ -254,7 +254,8 @@ class CompiledIndex:
 
     def quote_shingles(self, row: int) -> ShingleSet:
         """Shingle set of quote ``row``. The index keeps no token counts, so
-        ``source_token_count`` is the shingle count."""
+        ``source_token_count`` is the shingle count. Used by ``match_post`` only
+        to keep ``exact_jaccard`` on the traced path."""
         cols = self.columns[self.indptr[row] : self.indptr[row + 1]].tolist()
         return ShingleSet(frozenset(self.vocabulary[c] for c in cols), len(cols))
 
@@ -358,6 +359,8 @@ def match_post(
     return MatchResult(
         post_id=post_id,
         quote_id=index.quote_ids[row],
+        # Equal to sims[best] bit for bit (the same two integers divided); the
+        # call stays only because the per-layer tracer times exact_jaccard.
         similarity=exact_jaccard(shingles, index.quote_shingles(row)),
         authenticity=authenticity,
         kind=kind,
@@ -390,14 +393,13 @@ def load_index(
     *,
     corpus_hash: str | None = None,
     prefix_lexicon: PrefixLexicon | None = None,
-    shingle_n: int | None = None,
 ) -> CompiledIndex:
     """Load a compiled index and check it against what the caller will scan with.
 
     Raises :class:`VersionMismatchError` for another format or magic, or when
-    the corpus hash (if given), the prefix lexicon or ``shingle_n`` (if given)
-    differ from the header; :class:`MatcherError` for a truncated or
-    malformed file.
+    the corpus hash (if given) or the prefix lexicon differ from the header;
+    :class:`MatcherError` for a truncated or malformed file. Scanning uses the
+    index's ``shingle_n``.
     """
     data = Path(path).read_bytes()
     magic = data[: len(INDEX_MAGIC)]
@@ -424,6 +426,7 @@ def load_index(
         vocabulary = tuple(header["vocabulary"])
         authenticity = tuple(AuthenticityLevel(a) for a in header["authenticity"])
         built_n, built_prefix = header["shingle_n"], header["prefix_hash"]
+        built_corpus = header["corpus_hash"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MatcherError(f"{path}: truncated or malformed index header: {exc}") from None
     offset += blob_len
@@ -441,15 +444,15 @@ def load_index(
         or (nnz and not 0 <= columns.min() <= columns.max() < len(vocabulary))
     ):
         raise MatcherError(f"{path}: malformed index: CSR arrays disagree with the header")
+    # row * |V| + column rises strictly iff every row's columns do.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * len(vocabulary), np.diff(indptr)) + columns
+    if np.any(np.diff(keys) <= 0):
+        raise MatcherError(f"{path}: malformed index: a row's columns are not strictly ascending")
 
-    if corpus_hash is not None and header["corpus_hash"] != corpus_hash:
+    if corpus_hash is not None and built_corpus != corpus_hash:
         raise VersionMismatchError(f"index {path} was built from a different corpus file")
     if built_prefix != _prefix_hash(prefix_lexicon):
         raise VersionMismatchError(f"index {path} was built with a different prefix lexicon")
-    if shingle_n is not None and built_n != shingle_n:
-        raise VersionMismatchError(
-            f"index {path} was built with --shingle-n {built_n}, not {shingle_n}"
-        )
     return CompiledIndex(
         quote_ids=tuple(header["quote_ids"]),
         authenticity=authenticity,
@@ -458,5 +461,5 @@ def load_index(
         columns=columns,
         shingle_n=built_n,
         prefix_hash=built_prefix,
-        corpus_hash=header["corpus_hash"],
+        corpus_hash=built_corpus,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 from quotematch import cli
 from quotematch.cli import main
 from quotematch.corpus import TSV_HEADER
+from quotematch.matcher import INDEX_MAGIC
 
 
 def _tsv(path: Path, rows):
@@ -158,11 +159,18 @@ def test_scan_prefix_lexicon_mismatch_exit_3(tmp_path, capsys):
     assert "different prefix lexicon" in capsys.readouterr().err
 
 
-def test_scan_shingle_n_mismatch_exit_3(tmp_path, capsys):
-    assert _index_and_scan(tmp_path, ("--shingle-n", "2"), ("--shingle-n", "1"))() == 3
-    assert "--shingle-n 2, not 1" in capsys.readouterr().err
-    assert _index_and_scan(tmp_path, ("--shingle-n", "2"), ("--shingle-n", "2"))() == 0
-    assert _index_and_scan(tmp_path, ("--shingle-n", "2"))() == 0
+def test_scan_index_header_without_corpus_hash_exit_4(tmp_path, capsys):
+    scan = _index_and_scan(tmp_path)
+    data = (tmp_path / "i.bin").read_bytes()
+    start = len(INDEX_MAGIC) + 4
+    end = start + int.from_bytes(data[len(INDEX_MAGIC) : start], "little")
+    header = json.loads(data[start:end])
+    del header["corpus_hash"]
+    blob = json.dumps(header).encode("utf-8")
+    (tmp_path / "i.bin").write_bytes(INDEX_MAGIC + len(blob).to_bytes(4, "little") + blob
+                                     + data[end:])
+    assert scan() == 4
+    assert "i.bin: truncated or malformed index header" in capsys.readouterr().err
 
 
 def test_report_model_without_keys_exit_4(tmp_path, capsys):

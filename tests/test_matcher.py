@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -314,14 +316,26 @@ def test_index_load_rejects_wrong_corpus(tmp_path):
         load_index(path, corpus_hash="other")
 
 
-def test_index_load_rejects_other_prefixes_and_shingle_n(tmp_path):
+def test_index_load_rejects_other_prefixes(tmp_path):
     _, path = _saved(tmp_path, shingle_n=2)
     other = PrefixLexicon.from_patterns(["قال"])
     with pytest.raises(VersionMismatchError, match="prefix lexicon"):
         load_index(path, prefix_lexicon=other)
-    with pytest.raises(VersionMismatchError, match="--shingle-n 2, not 1"):
-        load_index(path, shingle_n=1)
-    assert load_index(path, shingle_n=2).shingle_n == 2
+    assert load_index(path).shingle_n == 2
+
+
+def test_index_load_rejects_unsorted_or_repeated_row_columns(tmp_path):
+    ix = build_index(_corpus(FIXTURE_ROWS))
+    assert ix.sizes[0] >= 2
+    a, b = int(ix.columns[0]), int(ix.columns[1])
+    for first, second in ((a, a), (b, a)):
+        columns = ix.columns.copy()
+        columns[0], columns[1] = first, second
+        path = tmp_path / "index.bin"
+        save_index(dataclasses.replace(ix, columns=columns), path)
+        with pytest.raises(MatcherError, match=r"index\.bin: malformed index: a row's columns"):
+            load_index(path)
+
 
 
 def test_index_bytes_independent_of_corpus_order(tmp_path):
