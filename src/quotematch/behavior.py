@@ -9,8 +9,6 @@ side of the labeled dataset).
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +17,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import read_csv, read_jsonl, write_csv, write_jsonl
 from .corpus import AuthenticityLevel
 from .matcher import (
     DEFAULT_REFUTES,
@@ -95,45 +93,33 @@ DEFAULT_THRESHOLDS = LabelThresholds()
 def read_timeline(path: str | Path) -> list[Post]:
     """Read a line-delimited JSON timeline, one post object per line."""
     posts: list[Post] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                is_retweet = obj.get("is_retweet", False)
-                if not isinstance(is_retweet, bool):
-                    raise TypeError(f"is_retweet must be true or false, got {is_retweet!r}")
-                posts.append(
-                    Post(
-                        id=str(obj["id"]),
-                        user_id=str(obj["user_id"]),
-                        text=str(obj.get("text", "")),
-                        is_retweet=is_retweet,
-                        created_at=str(obj.get("created_at", "")),
-                        parent_id=(
-                            str(obj["parent_id"]) if obj.get("parent_id") is not None else None
-                        ),
-                    )
+    for line_no, obj in read_jsonl(path):
+        try:
+            is_retweet = obj.get("is_retweet", False)
+            if not isinstance(is_retweet, bool):
+                raise TypeError(f"is_retweet must be true or false, got {is_retweet!r}")
+            posts.append(
+                Post(
+                    id=str(obj["id"]),
+                    user_id=str(obj["user_id"]),
+                    text=str(obj.get("text", "")),
+                    is_retweet=is_retweet,
+                    created_at=str(obj.get("created_at", "")),
+                    parent_id=str(obj["parent_id"]) if obj.get("parent_id") is not None else None,
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: bad post on line {line_no}: {exc}") from None
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: bad post on line {line_no}: {exc}") from None
     return posts
 
 
 def write_timeline(posts: Sequence[Post], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in posts:
-            record = {
-                "id": p.id,
-                "user_id": p.user_id,
-                "text": p.text,
-                "is_retweet": p.is_retweet,
-                "created_at": p.created_at,
-            }
-            if p.parent_id is not None:
-                record["parent_id"] = p.parent_id
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {"id": p.id, "user_id": p.user_id, "text": p.text, "is_retweet": p.is_retweet,
+         "created_at": p.created_at}
+        | ({"parent_id": p.parent_id} if p.parent_id is not None else {})
+        for p in posts
+    ))
 
 
 def scan_timeline(
@@ -362,29 +348,28 @@ def write_stats_csv(
 
 
 def read_stats_csv(path: str | Path) -> list[tuple[UserStats, BehaviorLabel | None]]:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if header != list(STATS_CSV_FIELDS + ("label",)) and header != list(STATS_CSV_FIELDS):
-            raise ValueError(f"{path}: unexpected stats CSV header {header}")
-        out: list[tuple[UserStats, BehaviorLabel | None]] = []
-        for parts in reader:
-            if not "".join(parts).strip():
-                continue
-            try:
-                if len(parts) < len(STATS_CSV_FIELDS):
-                    raise ValueError(f"expected >= {len(STATS_CSV_FIELDS)} columns")
-                stats = UserStats(
-                    user_id=parts[0],
-                    total_hadith=int(parts[1]),
-                    fabricated=int(parts[2]),
-                    refutes=int(parts[3]),
-                    retweet_fraction=float(parts[4]),
-                )
-                label = BehaviorLabel(parts[5]) if len(parts) > 5 and parts[5] else None
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            out.append((stats, label))
+    rows = read_csv(path)
+    _, header = next(rows, (None, None))
+    if header is None:
+        return []
+    if header != list(STATS_CSV_FIELDS + ("label",)) and header != list(STATS_CSV_FIELDS):
+        raise ValueError(f"{path}: unexpected stats CSV header {header}")
+    out: list[tuple[UserStats, BehaviorLabel | None]] = []
+    for line_no, parts in rows:
+        if not "".join(parts).strip():
+            continue
+        try:
+            if len(parts) < len(STATS_CSV_FIELDS):
+                raise ValueError(f"expected >= {len(STATS_CSV_FIELDS)} columns")
+            stats = UserStats(
+                user_id=parts[0],
+                total_hadith=int(parts[1]),
+                fabricated=int(parts[2]),
+                refutes=int(parts[3]),
+                retweet_fraction=float(parts[4]),
+            )
+            label = BehaviorLabel(parts[5]) if len(parts) > 5 and parts[5] else None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        out.append((stats, label))
     return out

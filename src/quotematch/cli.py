@@ -6,25 +6,21 @@ Exit codes: 0 ok, 2 missing input file, 3 artifact version/hash mismatch,
 hashes so a scan cannot silently run against the wrong index, nor a report
 against the wrong feature space. ``index`` compiles the corpus once; ``scan``
 reads that compiled index, checks it against the corpus file's hash and the
-prefix lexicon, scans with the index's shingle size, and parses no corpus. ``scan`` runs on one
-thread unless ``QUOTEMATCH_THREADS`` asks for more; its per-post work holds
-the interpreter lock.
+prefix lexicon, scans with the index's shingle size, and parses no corpus.
+Every JSON, JSONL and CSV artifact is read and written through ``quotematch.artifacts``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import behavior, corpus as corpus_mod, features as features_mod, matcher, model as model_mod, synth
-from .artifacts import VersionMismatchError
+from .artifacts import VersionMismatchError, read_csv, write_csv, write_json, write_jsonl
 from .behavior import BehaviorLabel, DEFAULT_THRESHOLDS, LabelThresholds
 from .model import LogitHyperparams
 from .textnorm import PrefixLexicon
@@ -57,25 +53,19 @@ def _refute_lexicon(args) -> matcher.RefuteLexicon:
     return matcher.DEFAULT_REFUTES
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 # ---------------------------------------------------------------------------
 # corpus build | merge | filter
+
+
+def _write_report(args, **fields) -> None:
+    write_json(args.report or str(args.out) + ".report.json", fields)
 
 
 def cmd_corpus_build(args) -> None:
     lexicon = _prefix_lexicon(args)
     built, report = corpus_mod.load_corpus(_require(args.input), lexicon)
     corpus_mod.save_corpus(built, args.out)
-    _write_json(
-        {"rows": report.rows, "collapsed": report.collapsed, "quotes": len(built)},
-        Path(args.report or str(args.out) + ".report.json"),
-    )
+    _write_report(args, rows=report.rows, collapsed=report.collapsed, quotes=len(built))
     print(f"built corpus: {len(built)} quotes, {report.collapsed} duplicates collapsed")
 
 
@@ -85,13 +75,9 @@ def cmd_corpus_merge(args) -> None:
     b, _ = corpus_mod.load_corpus(_require(args.b), lexicon)
     merged, report = corpus_mod.merge_corpora(a, b)
     corpus_mod.save_corpus(merged, args.out)
-    _write_json(
-        {
-            "collisions": report.collisions,
-            "renamespaced_ids": list(report.renamespaced_ids),
-            "quotes": len(merged),
-        },
-        Path(args.report or str(args.out) + ".report.json"),
+    _write_report(
+        args, collisions=report.collisions, renamespaced_ids=list(report.renamespaced_ids),
+        quotes=len(merged),
     )
     print(f"merged corpus: {len(merged)} quotes, {report.collisions} collisions")
 
@@ -102,13 +88,8 @@ def cmd_corpus_filter(args) -> None:
     exclude = corpus_mod.load_exclusion_list(_require(args.exclude))
     filtered, report = corpus_mod.filter_corpus(base, exclude)
     corpus_mod.save_corpus(filtered, args.out)
-    _write_json(
-        {
-            "removed": report.removed,
-            "unknown_ids": list(report.unknown_ids),
-            "quotes": len(filtered),
-        },
-        Path(args.report or str(args.out) + ".report.json"),
+    _write_report(
+        args, removed=report.removed, unknown_ids=list(report.unknown_ids), quotes=len(filtered)
     )
     print(f"filtered corpus: {len(filtered)} quotes, {report.removed} removed")
     if report.unknown_ids:
@@ -134,13 +115,6 @@ def cmd_index(args) -> None:
 # scan
 
 
-def _scan_one(path: Path, index, refutes, threshold: float, prefixes, max_posts: int):
-    posts = behavior.read_timeline(path)[:max_posts]
-    return behavior.scan_timeline(
-        posts, index, refutes, threshold, user_id=path.stem, prefix_lexicon=prefixes
-    )
-
-
 def cmd_scan(args) -> None:
     corpus_path = _require(args.corpus)
     index_path = _require(args.index)
@@ -154,18 +128,13 @@ def cmd_scan(args) -> None:
     refutes = _refute_lexicon(args)
 
     files = sorted(Path(timelines_dir).glob("*.jsonl"))
-    threads = int(os.environ.get("QUOTEMATCH_THREADS", 1))
-    threads = max(1, min(threads, len(files) or 1))
-
-    def work(path: Path):
-        return _scan_one(path, index, refutes, args.threshold, lexicon, args.max_posts)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scanned = list(pool.map(work, files))
-    else:
-        scanned = [work(path) for path in files]
-
+    scanned = [
+        behavior.scan_timeline(
+            behavior.read_timeline(path)[: args.max_posts], index, refutes, args.threshold,
+            user_id=path.stem, prefix_lexicon=lexicon,
+        )
+        for path in files
+    ]
     rows = sorted(
         ((stats, None) for stats, _ in scanned), key=lambda pair: pair[0].user_id
     )
@@ -178,22 +147,11 @@ def cmd_scan(args) -> None:
         ),
         key=lambda pair: (pair[0], pair[1].post_id),
     )
-    with open(args.out_matches, "w", encoding="utf-8") as fh:
-        for user_id, m in all_matches:
-            fh.write(
-                json.dumps(
-                    {
-                        "user_id": user_id,
-                        "post_id": m.post_id,
-                        "quote_id": m.quote_id,
-                        "similarity": m.similarity,
-                        "authenticity": m.authenticity.value,
-                        "kind": m.kind.value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(args.out_matches, (
+        {"user_id": user_id, "post_id": m.post_id, "quote_id": m.quote_id,
+         "similarity": m.similarity, "authenticity": m.authenticity.value, "kind": m.kind.value}
+        for user_id, m in all_matches
+    ))
     print(f"scanned {len(files)} timelines, {len(all_matches)} matches")
 
 
@@ -260,7 +218,7 @@ def cmd_features(args) -> None:
 def _load_xy(args) -> tuple:
     space = features_mod.load_space(_require(args.space))
     vectors, space_hash = features_mod.load_vectors(_require(args.vectors))
-    if space_hash and space_hash != space.manifest_hash:
+    if space_hash != space.manifest_hash:
         raise VersionMismatchError(
             f"vectors {args.vectors} were encoded against a different feature space"
         )
@@ -279,19 +237,17 @@ def _load_xy(args) -> tuple:
     return space, keep, X, y
 
 
-_METRICS_HEADER = "group,accuracy,precision,recall,f1"
+def _write_metrics(metrics, path: str) -> None:
+    def cells(*values: float) -> list[str]:
+        return [f"{v:.6f}" for v in values]
 
-
-def _metrics_csv(metrics) -> str:
-    lines = [_METRICS_HEADER]
-    for name, cls in (("Circulators", 1), ("Debunkers", -1)):
-        m = metrics.per_class[cls]
-        lines.append(f"{name},,{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}")
-    lines.append(
-        f"Macro,{metrics.accuracy:.6f},{metrics.macro_precision:.6f},"
-        f"{metrics.macro_recall:.6f},{metrics.macro_f1:.6f}"
-    )
-    return "\n".join(lines) + "\n"
+    c, d = metrics.per_class[1], metrics.per_class[-1]
+    write_csv(path, ("group", "accuracy", "precision", "recall", "f1"), [
+        ["Circulators", ""] + cells(c.precision, c.recall, c.f1),
+        ["Debunkers", ""] + cells(d.precision, d.recall, d.f1),
+        ["Macro"] + cells(metrics.accuracy, metrics.macro_precision, metrics.macro_recall,
+                          metrics.macro_f1),
+    ])
 
 
 def cmd_train(args) -> None:
@@ -302,7 +258,7 @@ def cmd_train(args) -> None:
     metrics = model_mod.cross_validate(X, y, hp, test_fraction=0.1, repeats=args.repeats)
     final = model_mod.train_logit(X, y, hp)
     model_mod.save_model(final, args.out_model, space.manifest_hash)
-    Path(args.out_metrics).write_text(_metrics_csv(metrics), encoding="utf-8")
+    _write_metrics(metrics, args.out_metrics)
     print(
         f"trained on {X.shape[0]} users x {X.shape[1]} features; "
         f"cv accuracy {metrics.accuracy:.3f}"
@@ -315,20 +271,21 @@ def cmd_train(args) -> None:
 
 def _read_category_map(path: Path) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
-        if not line.strip() or (line_no == 1 and line == "target_id,category"):
+    for line_no, row in read_csv(path):
+        if line_no == 1 and row == ["target_id", "category"]:
             continue
-        parts = line.split(",", 1)
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {line_no}: expected target_id,category")
-        mapping[parts[0]] = parts[1]
+        if len(row) != 2:
+            raise ValueError(
+                f"{path}: line {line_no}: expected 2 fields target_id,category, got {len(row)}"
+            )
+        mapping[row[0]] = row[1]
     return mapping
 
 
 def cmd_report(args) -> None:
     space = features_mod.load_space(_require(args.space))
     fitted, space_hash = model_mod.load_model(_require(args.model))
-    if space_hash and space_hash != space.manifest_hash:
+    if space_hash != space.manifest_hash:
         raise VersionMismatchError(
             f"model {args.model} was trained against a different feature space"
         )
@@ -337,19 +294,20 @@ def cmd_report(args) -> None:
 
     k = min(args.top_k, space.n_columns)
     report = model_mod.top_coefficients(fitted, space, k)
-    coef_lines = ["side,rank,target_id,kind,weight"]
-    for side, entries in (("positive", report.top_positive), ("negative", report.top_negative)):
-        for rank, ((target, kind), weight) in enumerate(entries, start=1):
-            coef_lines.append(f"{side},{rank},{target},{kind.value},{weight:.8f}")
-    (out_dir / "top_coefficients.csv").write_text("\n".join(coef_lines) + "\n", encoding="utf-8")
+    sides = (("positive", report.top_positive), ("negative", report.top_negative))
+    write_csv(out_dir / "top_coefficients.csv", ("side", "rank", "target_id", "kind", "weight"), (
+        (side, str(rank), target, kind.value, f"{weight:.8f}")
+        for side, entries in sides
+        for rank, ((target, kind), weight) in enumerate(entries, start=1)
+    ))
 
     category_map = _read_category_map(_require(args.category_map)) if args.category_map else {}
     counts = model_mod.categorize_report(report, category_map)
-    cat_lines = ["side,category,count"]
-    for side in ("positive", "negative"):
-        for category in sorted(counts[side]):
-            cat_lines.append(f"{side},{category},{counts[side][category]}")
-    (out_dir / "category_counts.csv").write_text("\n".join(cat_lines) + "\n", encoding="utf-8")
+    write_csv(out_dir / "category_counts.csv", ("side", "category", "count"), (
+        (side, category, str(counts[side][category]))
+        for side in ("positive", "negative")
+        for category in sorted(counts[side])
+    ))
 
     if args.labeled and args.ties:
         rows = behavior.read_stats_csv(_require(args.labeled))
@@ -366,15 +324,12 @@ def cmd_report(args) -> None:
             )
             labels_map[stats.user_id] = label
         summary = behavior.interaction_summary(counts_map, labels_map)
-        sum_lines = ["label,metric,mean,median,q1,q3"]
-        for label in sorted(summary, key=lambda l: l.value):
-            for metric in ("follows", "retweets", "likes", "retweet_fraction"):
-                stats_row = summary[label][metric]
-                sum_lines.append(
-                    f"{label.value},{metric},{stats_row['mean']:.6f},"
-                    f"{stats_row['median']:.6f},{stats_row['q1']:.6f},{stats_row['q3']:.6f}"
-                )
-        (out_dir / "class_summary.csv").write_text("\n".join(sum_lines) + "\n", encoding="utf-8")
+        columns = ("mean", "median", "q1", "q3")
+        write_csv(out_dir / "class_summary.csv", ("label", "metric") + columns, (
+            [label.value, metric] + [f"{summary[label][metric][q]:.6f}" for q in columns]
+            for label in sorted(summary, key=lambda l: l.value)
+            for metric in ("follows", "retweets", "likes", "retweet_fraction")
+        ))
     print(f"report written to {out_dir}")
 
 

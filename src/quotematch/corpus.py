@@ -7,7 +7,8 @@ are plain text, one quote id per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -15,6 +16,11 @@ from typing import Iterable
 from .textnorm import PrefixLexicon, normalize_arabic, strip_quote_prefix
 
 TSV_HEADER = "id\tauthenticity\tsource\ttext"
+# ``str.splitlines``, which reads a corpus file, ends a row at each of these.
+_LINE_BREAKS = "\n\r\x0b\x0c\u2028\u2029\x1c\x1d\x1e\x85"
+_HAS_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+# normalize_arabic reads the first six as spaces and drops the rest.
+_TEXT_BREAKS = str.maketrans(_LINE_BREAKS[:6], " " * 6, _LINE_BREAKS[6:])
 
 
 class CorpusError(ValueError):
@@ -64,13 +70,12 @@ class ReferenceCorpus:
 
     quotes: list[ReferenceQuote]
     provenance: list[str]
-    _by_id: dict[str, ReferenceQuote] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id: dict[str, ReferenceQuote] = {}
+        ids: set[str] = set()
         seen_texts: set[str] = set()
         for q in self.quotes:
-            if q.id in by_id:
+            if q.id in ids:
                 raise CorpusValidationError(f"duplicate quote id: {q.id!r}")
             if q.normalized_text in seen_texts:
                 raise CorpusValidationError(
@@ -78,24 +83,14 @@ class ReferenceCorpus:
                 )
             if not q.normalized_text:
                 raise CorpusValidationError(f"quote {q.id!r} normalizes to empty text")
-            by_id[q.id] = q
+            ids.add(q.id)
             seen_texts.add(q.normalized_text)
-        self._by_id = by_id
 
     def __len__(self) -> int:
         return len(self.quotes)
 
     def ids(self) -> set[str]:
-        return set(self._by_id)
-
-    def by_id(self, quote_id: str) -> ReferenceQuote:
-        return self._by_id[quote_id]
-
-    def with_level(self, level: AuthenticityLevel) -> list[ReferenceQuote]:
-        return [q for q in self.quotes if q.authenticity is level]
-
-    def normalized_texts(self) -> set[str]:
-        return {q.normalized_text for q in self.quotes}
+        return {q.id for q in self.quotes}
 
 
 @dataclass(frozen=True)
@@ -189,10 +184,18 @@ def load_corpus(
 
 
 def save_corpus(corpus: ReferenceCorpus, path: str | Path) -> None:
-    """Write a corpus back to TSV. Newlines inside texts become spaces."""
+    """Write a corpus back to TSV. Line breaks inside texts become spaces, or
+    go where normalization drops them; an id or source holding a tab or a line
+    break raises ``CorpusValidationError``."""
     lines = [TSV_HEADER]
     for q in corpus.quotes:
-        text = q.raw_text.replace("\n", " ").replace("\r", " ")
+        if "\t" in q.id + q.source or _HAS_LINE_BREAK.search(q.id + q.source):
+            raise CorpusValidationError(
+                f"quote {q.id!r}: a TSV id or source cannot hold a tab or a line break"
+            )
+        text = q.raw_text
+        if _HAS_LINE_BREAK.search(text):
+            text = text.translate(_TEXT_BREAKS)
         lines.append(f"{q.id}\t{q.authenticity.value}\t{q.source}\t{text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -11,7 +11,6 @@ array operations rather than work per tie object.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from array import array
@@ -24,13 +23,18 @@ from typing import Container, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .artifacts import write_csv
+from .artifacts import (
+    check_record, read_csv, read_json, read_jsonl, write_csv, write_json, write_jsonl,
+)
 
 
 class TieKind(Enum):
     FOLLOW = "follow"
     RETWEET_AUTHOR = "retweet"
     LIKE_AUTHOR = "like"
+
+    # Members are singletons; Enum's own __hash__ is a Python call on every tie read.
+    __hash__ = object.__hash__
 
 
 Tie = tuple[str, str, TieKind]  # (user_id, target_id, kind)
@@ -205,18 +209,15 @@ def to_csr(vectors: Sequence[FeatureVector], n_columns: int) -> sparse.csr_matri
 
 
 def _csv_ties(path: str | Path) -> Iterator[Tie]:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if len(row) != 3:
-                if row:
-                    raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
-                continue
-            user_id, target_id, label = row
-            kind = _KIND_OF_LABEL.get(label) or _KIND_OF_LABEL.get(label.strip().lower())
-            if kind is not None:
-                yield user_id, target_id, kind
-            elif not (line_no == 1 and row == _TIES_HEADER):
-                raise ValueError(f"{path}: line {line_no}: unknown tie kind {label!r}")
+    for line_no, row in read_csv(path):
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
+        user_id, target_id, label = row
+        kind = _KIND_OF_LABEL.get(label) or _KIND_OF_LABEL.get(label.strip().lower())
+        if kind is not None:
+            yield user_id, target_id, kind
+        elif not (line_no == 1 and row == _TIES_HEADER):
+            raise ValueError(f"{path}: line {line_no}: unknown tie kind {label!r}")
 
 
 def read_ties_csv(path: str | Path, users: Container[str] | None = None) -> TieTable:
@@ -232,26 +233,25 @@ def write_ties_csv(ties: Iterable[Tie], path: str | Path) -> None:
 
 def save_space(space: FeatureSpace, path: str | Path, ties_hash: str | None = None) -> None:
     """Persist the column manifest so coefficient reports stay interpretable."""
-    payload = {
+    write_json(path, {
         "format_version": 1,
         "ties_hash": ties_hash,
         "manifest_hash": space.manifest_hash,
         "columns": [[t, k.value] for t, k in space.columns],
         "support": list(space.support),
-    }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    })
 
 
 def load_space(path: str | Path) -> FeatureSpace:
-    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    space = FeatureSpace(
-        columns=tuple((t, TieKind(k)) for t, k in payload["columns"]),
-        support=tuple(payload["support"]),
-    )
-    if payload.get("manifest_hash") and payload["manifest_hash"] != space.manifest_hash:
+    payload = read_json(path, ("columns", "support", "manifest_hash", "format_version"), 1)
+    try:
+        space = FeatureSpace(
+            columns=tuple((t, TieKind(k)) for t, k in payload["columns"]),
+            support=tuple(payload["support"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if payload["manifest_hash"] != space.manifest_hash:
         raise ValueError(f"{path}: manifest hash does not match column list")
     return space
 
@@ -260,27 +260,23 @@ def save_vectors(
     vectors: Sequence[FeatureVector], path: str | Path, space_hash: str
 ) -> None:
     """JSONL vectors; the first line binds them to a feature-space manifest."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format_version": 1, "space_hash": space_hash}) + "\n")
-        for v in vectors:
-            fh.write(
-                json.dumps({"user_id": v.user_id, "columns": list(v.columns)}) + "\n"
-            )
+    write_jsonl(path, [{"format_version": 1, "space_hash": space_hash}] + [
+        {"user_id": v.user_id, "columns": list(v.columns)} for v in vectors
+    ])
 
 
 def load_vectors(path: str | Path) -> tuple[list[FeatureVector], str]:
     """Load JSONL vectors; returns them plus the recorded space hash."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    if not lines:
+    records = read_jsonl(path)
+    line_no, meta = next(records, (None, None))
+    if line_no is None:
         raise ValueError(f"{path}: empty vectors file")
-    meta = json.loads(lines[0])
-    space_hash = meta.get("space_hash", "")
+    check_record(path, line_no, meta, ("format_version", "space_hash"), 1)
     vectors = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        vectors.append(
-            FeatureVector(user_id=obj["user_id"], columns=tuple(obj["columns"]))
-        )
-    return vectors, space_hash
+    for line_no, obj in records:
+        check_record(path, line_no, obj, ("user_id", "columns"))
+        try:
+            vectors.append(FeatureVector(user_id=obj["user_id"], columns=tuple(obj["columns"])))
+        except TypeError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return vectors, meta["space_hash"]

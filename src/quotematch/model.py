@@ -9,7 +9,6 @@ is no stochastic path.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betainc, expit
 
+from .artifacts import read_json, write_json
 from .features import FeatureSpace, TieKind
 
 
@@ -149,16 +149,12 @@ def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> Lo
     )
 
 
-def predict_scores(model: LogitModel, X) -> np.ndarray:
-    """Sigmoid probabilities of the positive class."""
+def predict_labels(model: LogitModel, X) -> np.ndarray:
+    """Labels in {+1, -1}: +1 where the positive class's sigmoid probability is >= 0.5."""
     if X.shape[1] != model.n_columns:
         raise ValueError(f"X has {X.shape[1]} columns, model expects {model.n_columns}")
-    return expit(np.asarray(X @ model.weights).ravel() + model.bias)
-
-
-def predict_labels(model: LogitModel, X) -> np.ndarray:
-    """Labels in {+1, -1} at the 0.5 probability threshold."""
-    return np.where(predict_scores(model, X) >= 0.5, 1.0, -1.0)
+    scores = expit(np.asarray(X @ model.weights).ravel() + model.bias)
+    return np.where(scores >= 0.5, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -307,34 +303,25 @@ def save_model(model: LogitModel, path: str | Path, space_hash: str) -> None:
         "converged": model.converged,
         "final_grad_norm": model.final_grad_norm,
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, payload)
 
 
 def load_model(path: str | Path) -> tuple[LogitModel, str]:
-    """Load a model; returns it plus the feature-space hash it was trained on.
-
-    A file that is not JSON, or lacks a key, raises ``ValueError`` naming it.
-    """
+    """Load a model; returns it plus the feature-space hash it was trained on."""
+    keys = ("weights", "bias", "hyperparams", "converged", "final_grad_norm", "space_hash")
+    payload = read_json(path, keys + ("format_version",), 1)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+        model = LogitModel(
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            bias=float(payload["bias"]),
+            hyperparams=LogitHyperparams(**payload["hyperparams"]),
+            converged=bool(payload["converged"]),
+            final_grad_norm=float(payload["final_grad_norm"]),
+            loss_history=[],
+        )
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in ("weights", "bias", "hyperparams", "converged", "final_grad_norm"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r}")
-    model = LogitModel(
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        hyperparams=LogitHyperparams(**payload["hyperparams"]),
-        converged=bool(payload["converged"]),
-        final_grad_norm=float(payload["final_grad_norm"]),
-        loss_history=[],
-    )
-    return model, payload.get("space_hash", "")
+    return model, payload["space_hash"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .behavior import Post, write_timeline
 from .corpus import TSV_HEADER
 from .features import Tie, TieKind, write_ties_csv
@@ -231,8 +232,7 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
     ties_path = out / "ties.csv"
     write_ties_csv(all_ties, ties_path)
     truth_path = out / "truth.csv"
-    truth_lines = ["user_id,label"] + [f"{u},{lbl}" for u, lbl in sorted(truth_rows)]
-    truth_path.write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    write_csv(truth_path, ("user_id", "label"), sorted(truth_rows))
     return SynthPaths(
         corpus=corpus_path, timelines_dir=timelines_dir, ties=ties_path, truth=truth_path
     )

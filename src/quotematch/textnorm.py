@@ -73,11 +73,6 @@ def normalize_arabic(raw: str) -> NormalizedText:
     return " ".join("".join(out).split())
 
 
-def tokenize(text: NormalizedText) -> list[str]:
-    """Whitespace tokens of a normalized string."""
-    return text.split()
-
-
 # Quote-introduction phrases commonly prepended to a canonical quote. They are
 # interchangeable and carry no content, so matching strips them. Stored raw;
 # PrefixLexicon normalizes them on construction.

@@ -311,6 +311,20 @@ def test_timeline_bad_line_reports_number(tmp_path):
     path.write_text('{"id": "p1", "user_id": "u", "text": "x"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         read_timeline(path)
+    path.write_text('{"id": "p1", "user_id": "u", "text": "x"}\n\n["p2"]\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"u\.jsonl: bad post on line 3"):
+        read_timeline(path)
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=10)
+
+
+@given(st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT, st.none() | _ANY_TEXT), max_size=5))
+def test_timeline_roundtrip_any_unicode(tmp_path_factory, fields):
+    posts = [Post(pid, "ユーザー,1", text, parent_id=parent) for pid, text, parent in fields]
+    path = tmp_path_factory.mktemp("timeline") / "u.jsonl"
+    write_timeline(posts, path)
+    assert read_timeline(path) == posts
 
 
 def test_timeline_is_retweet_must_be_boolean(tmp_path):

@@ -1,13 +1,27 @@
+import csv
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from quotematch import cli
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quotematch.artifacts import read_jsonl, write_csv
 from quotematch.cli import main
 from quotematch.corpus import TSV_HEADER
+from quotematch.features import FeatureSpace, TieKind, save_space
 from quotematch.matcher import INDEX_MAGIC
+from quotematch.model import (
+    LogitHyperparams, LogitModel, categorize_report, save_model, top_coefficients,
+)
+
+# Any code point except lone surrogates, which UTF-8 cannot encode.
+ANY_ID = st.text(st.characters(exclude_categories=("Cs",)), max_size=10)
 
 
 def _tsv(path: Path, rows):
@@ -322,18 +336,41 @@ def test_report_without_category_map_all_unlabeled(tmp_path):
     assert lines and all(line.split(",")[1] == "Unlabeled" for line in lines)
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_report_with_category_map(tmp_path):
     fx, work = tmp_path / "fx", tmp_path / "work"
     _run_pipeline(fx, work)
+    # One planted hub's id holds a comma; features, train and report run again.
+    ties = fx / "ties.csv"
+    ties.write_text(ties.read_text().replace("circ_hub_000", '"hub,000"'), encoding="utf-8")
+    assert main(["features", "--ties", str(ties), "--labeled", str(work / "labeled.csv"),
+                 "--out-space", str(work / "space.json"),
+                 "--out-vectors", str(work / "vectors.jsonl")]) == 0
+    assert main(["train", "--space", str(work / "space.json"),
+                 "--vectors", str(work / "vectors.jsonl"),
+                 "--labeled", str(work / "labeled.csv"), "--out-model", str(work / "model.json"),
+                 "--out-metrics", str(work / "metrics.csv"), "--repeats", "1"]) == 0
+    hubs = ["hub,000"] + [f"circ_hub_{i:03d}" for i in range(1, 20)]
     cmap = tmp_path / "categories.csv"
-    rows = ["target_id,category"] + [f"circ_hub_{i:03d},Planted Pages" for i in range(20)]
-    cmap.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_csv(cmap, ("target_id", "category"), [(hub, "Planted Pages") for hub in hubs])
     assert main(["report", "--model", str(work / "model.json"),
                  "--space", str(work / "space.json"),
                  "--out-dir", str(work / "report2"),
                  "--category-map", str(cmap)]) == 0
-    content = (work / "report2" / "category_counts.csv").read_text()
-    assert "Planted Pages" in content
+    coefficients = _csv_rows(work / "report2" / "top_coefficients.csv")
+    assert all(len(row) == 5 for row in coefficients)
+    targets = [row[2] for row in coefficients[1:]]
+    assert "hub,000" in targets
+    counts = {(side, category): int(n) for side, category, n in
+              _csv_rows(work / "report2" / "category_counts.csv")[1:]}
+    planted = [row[0] for row in coefficients[1:] if row[2] in hubs]
+    assert planted.count("positive") > 0
+    for side in ("positive", "negative"):
+        assert counts.get((side, "Planted Pages"), 0) == planted.count(side)
 
 
 def test_report_space_mismatch_exit_3(tmp_path, capsys):
@@ -349,18 +386,6 @@ def test_report_space_mismatch_exit_3(tmp_path, capsys):
                "--out-dir", str(tmp_path / "r")])
     assert rc == 3
     assert "feature space" in capsys.readouterr().err
-
-
-def test_scan_defaults_to_one_thread(tmp_path, monkeypatch):
-    monkeypatch.delenv("QUOTEMATCH_THREADS", raising=False)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("scan created a thread pool without QUOTEMATCH_THREADS")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    fx, work = tmp_path / "fx", tmp_path / "work"
-    _run_pipeline(fx, work, seed=3, n=6)
-    assert (work / "stats.csv").exists()
 
 
 def test_timeline_non_boolean_retweet_exit_4(tmp_path, capsys):
@@ -382,8 +407,148 @@ def test_timeline_non_boolean_retweet_exit_4(tmp_path, capsys):
     assert "circ_0000.jsonl: bad post on line 1" in capsys.readouterr().err
 
 
-def test_scan_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("QUOTEMATCH_THREADS", "2")
-    fx, work = tmp_path / "fx", tmp_path / "work"
-    _run_pipeline(fx, work, seed=3, n=6)
-    assert (work / "stats.csv").exists()
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pipeline")
+    _run_pipeline(root / "fx", root / "work", seed=3, n=6)
+    return root
+
+
+def _edit_json(name, **changes):
+    def edit(path: Path) -> None:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(payload, **changes)), encoding="utf-8")
+    return name, edit
+
+
+def _edit_vectors(line, **changes):
+    def edit(path: Path) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[line - 1])
+        record.update(changes)
+        lines[line - 1] = json.dumps({k: v for k, v in record.items() if v is not None})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "vectors.jsonl", edit
+
+
+def _replace_text(name, text):
+    return name, lambda path: path.write_text(text(path.read_text(encoding="utf-8")),
+                                              encoding="utf-8")
+
+
+_TRAIN = ["train", "--space", "{w}/space.json", "--vectors", "{w}/vectors.jsonl",
+          "--labeled", "{w}/labeled.csv", "--out-model", "{w}/m2.json",
+          "--out-metrics", "{w}/metrics2.csv", "--repeats", "1"]
+_REPORT = ["report", "--model", "{w}/model.json", "--space", "{w}/space.json",
+           "--out-dir", "{w}/r2", "--category-map", "{w}/categories.csv"]
+_FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
+             "--out-vectors", "{w}/v2.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, edit, code, message",
+    [
+        (_REPORT, _replace_text("space.json", lambda _: "{}"), 4,
+         r"space\.json: missing key 'columns'"),
+        (_REPORT, _replace_text("space.json", lambda _: "[1, 2]"), 4,
+         r"space\.json: expected a JSON object, got list"),
+        (_REPORT, _replace_text("space.json", lambda text: text[:200]), 4,
+         r"space\.json: (Expecting|Unterminated)"),
+        (_TRAIN, _edit_vectors(2, columns=None), 4,
+         r"vectors\.jsonl: line 2: missing key 'columns'"),
+        (_TRAIN, _edit_vectors(2, columns=5), 4, r"vectors\.jsonl: line 2: 'int' object"),
+        (_REPORT, _edit_json("space.json", columns=5), 4, r"space\.json: 'int' object"),
+        (_REPORT, _edit_json("model.json", hyperparams=3), 4, r"model\.json: .*must be a mapping"),
+        (_REPORT, _edit_json("space.json", format_version=99), 3,
+         r"space\.json: format version 99, expected 1"),
+        (_TRAIN, _edit_vectors(1, format_version=99), 3,
+         r"vectors\.jsonl: line 1: format version 99, expected 1"),
+        (_REPORT, _edit_json("model.json", format_version=99), 3,
+         r"model\.json: format version 99, expected 1"),
+        (_TRAIN, _edit_vectors(1, space_hash=""), 3,
+         r"vectors\.jsonl were encoded against a different"),
+        (_REPORT, _edit_json("model.json", space_hash=""), 3,
+         r"model\.json was trained against a different"),
+        (_REPORT, _edit_json("space.json", manifest_hash=""), 4,
+         r"space\.json: manifest hash does not match"),
+        (_REPORT, _replace_text("categories.csv", lambda text: text + "hub,000,Hubs\n"), 4,
+         r"categories\.csv: line 3: expected 2 fields target_id,category, got 3"),
+        (_FEATURES, _replace_text("ties.csv", lambda _: 'u,"a\nb",follow\nv,b,block\n'), 4,
+         r"ties\.csv: line 3: unknown tie kind 'block'"),
+    ],
+    ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
+         "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
+         "space-v99", "vectors-v99", "model-v99", "vectors-empty-space-hash",
+         "model-empty-space-hash", "space-empty-manifest-hash", "category-map-three-fields",
+         "ties-line-after-quoted-newline"],
+)
+def test_bad_artifact_exit_code_names_file(
+    pipeline_dir, tmp_path, capsys, argv, edit, code, message
+):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline_dir / "work", work)
+    shutil.copy(pipeline_dir / "fx" / "ties.csv", work / "ties.csv")
+    write_csv(work / "categories.csv", ("target_id", "category"), [("hub,000", "Hubs")])
+    name, change = edit
+    change(work / name)
+    capsys.readouterr()
+    assert main([arg.format(w=work) for arg in argv]) == code
+    assert re.search(message, capsys.readouterr().err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(ANY_ID, min_size=1, max_size=6, unique=True),
+    st.lists(ANY_ID, min_size=1, max_size=3),
+)
+def test_report_files_roundtrip_any_unicode_target(tmp_path_factory, targets, categories):
+    d = tmp_path_factory.mktemp("report")
+    space = FeatureSpace(columns=tuple((t, TieKind.LIKE_AUTHOR) for t in targets),
+                         support=(1,) * len(targets))
+    weights = np.array([(i + 1) * (-1) ** i for i in range(len(targets))], dtype=np.float64)
+    model = LogitModel(weights, 0.5, LogitHyperparams(), True, 0.0, [])
+    save_space(space, d / "space.json")
+    save_model(model, d / "model.json", space.manifest_hash)
+    category_of = {t: categories[i % len(categories)] for i, t in enumerate(targets)}
+    write_csv(d / "categories.csv", ("target_id", "category"), category_of.items())
+    assert main(["report", "--model", str(d / "model.json"), "--space", str(d / "space.json"),
+                 "--out-dir", str(d / "r"), "--category-map", str(d / "categories.csv")]) == 0
+    report = top_coefficients(model, space, len(targets))
+    assert _csv_rows(d / "r" / "top_coefficients.csv")[1:] == [
+        [side, str(rank), target, "like", f"{weight:.8f}"]
+        for side, entries in (("positive", report.top_positive),
+                              ("negative", report.top_negative))
+        for rank, ((target, _kind), weight) in enumerate(entries, start=1)
+    ]
+    counts = categorize_report(report, category_of)
+    assert _csv_rows(d / "r" / "category_counts.csv")[1:] == [
+        [side, category, str(counts[side][category])]
+        for side in ("positive", "negative") for category in sorted(counts[side])
+    ]
+
+
+@pytest.fixture(scope="module")
+def one_quote_index(tmp_path_factory):
+    d = tmp_path_factory.mktemp("index")
+    _tsv(d / "c.tsv", [("q1", "fabricated", "s", "كلمه اولي ثانيه ثالثه رابعه خامسه")])
+    assert main(["index", "--corpus", str(d / "c.tsv"), "--out", str(d / "i.bin")]) == 0
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(ANY_ID, min_size=1, max_size=5, unique=True))
+def test_matches_jsonl_roundtrip_any_unicode_post_id(tmp_path_factory, one_quote_index, post_ids):
+    d = tmp_path_factory.mktemp("scan")
+    (d / "timelines").mkdir()
+    (d / "timelines" / "u.jsonl").write_text("".join(
+        json.dumps({"id": pid, "user_id": "u", "text": "كلمه اولي ثانيه ثالثه رابعه خامسه"},
+                   ensure_ascii=False) + "\n"
+        for pid in post_ids
+    ), encoding="utf-8")
+    assert main(["scan", "--index", str(one_quote_index / "i.bin"),
+                 "--corpus", str(one_quote_index / "c.tsv"), "--timelines", str(d / "timelines"),
+                 "--out-stats", str(d / "s.csv"), "--out-matches", str(d / "m.jsonl")]) == 0
+    matches = [record for _, record in read_jsonl(d / "m.jsonl")]
+    assert [m["post_id"] for m in matches] == sorted(post_ids)
+    assert all(list(m) == ["user_id", "post_id", "quote_id", "similarity", "authenticity", "kind"]
+               for m in matches)

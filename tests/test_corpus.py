@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,10 @@ def test_load_preserves_levels_and_queries(tmp_path):
         ("b", "authentic", "s", "نص ثاني"),
     ])
     corpus, _ = load_corpus(path)
-    assert len(corpus.with_level(AuthenticityLevel.FABRICATED)) == 1
-    assert len(corpus.with_level(AuthenticityLevel.AUTHENTIC)) == 1
-    assert corpus.by_id("b").authenticity is AuthenticityLevel.AUTHENTIC
+    levels = [q.authenticity for q in corpus.quotes]
+    assert levels.count(AuthenticityLevel.FABRICATED) == 1
+    assert levels.count(AuthenticityLevel.AUTHENTIC) == 1
+    assert {q.id: q for q in corpus.quotes}["b"].authenticity is AuthenticityLevel.AUTHENTIC
 
 
 def test_load_malformed_row_reports_line_number(tmp_path):
@@ -173,7 +176,7 @@ def test_merge_size_law_random():
         a = _mini_corpus(a_texts, prefix="a")
         b = _mini_corpus(b_texts, prefix="b")
         merged, report = merge_corpora(a, b)
-        shared = a.normalized_texts() & b.normalized_texts()
+        shared = {q.normalized_text for q in a.quotes} & {q.normalized_text for q in b.quotes}
         assert report.collisions == len(shared)
         assert len(merged) == len(a) + len(b) - len(shared)
 
@@ -220,7 +223,7 @@ def test_filter_then_merge_recovers_texts():
         [q for q in c.quotes if q.id in excluded_ids], list(c.provenance)
     )
     merged, _ = merge_corpora(kept, excluded)
-    assert merged.normalized_texts() == c.normalized_texts()
+    assert {q.normalized_text for q in merged.quotes} == {q.normalized_text for q in c.quotes}
 
 
 def test_corpus_invariants_enforced():
@@ -237,11 +240,26 @@ def test_exclusion_list_io(tmp_path):
     assert load_exclusion_list(path) == {"id1", "id2"}
 
 
+def test_save_rejects_tab_or_line_break_in_id_or_source(tmp_path):
+    for row in (("a\tb", "weak", "s", "نص"), ("q2", "weak", "x\ny", "نص"),
+                ("q3\u2028", "weak", "s", "نص")):
+        with pytest.raises(CorpusValidationError, match=re.escape(f"quote {row[0]!r}:")):
+            save_corpus(build_corpus([row])[0], tmp_path / "c.tsv")
+
+
 def test_save_load_roundtrip(tmp_path):
     c = _mini_corpus(["نص اول", "نص ثاني"], level="weak")
     path = tmp_path / "c.tsv"
     save_corpus(c, path)
     loaded, _ = load_corpus(path)
     assert loaded.ids() == c.ids()
-    assert loaded.normalized_texts() == c.normalized_texts()
+    assert {q.normalized_text for q in loaded.quotes} == {q.normalized_text for q in c.quotes}
     assert all(q.authenticity is AuthenticityLevel.WEAK for q in loaded.quotes)
+
+    # A text's line breaks become spaces, or go where normalization drops them.
+    breaks = "\n\r\x0b\x0c\u2028\u2029\x1c\x1d\x1e\x85"
+    texts = [f"نص {i} a{brk}b" for i, brk in enumerate(breaks)]
+    c = _mini_corpus(texts, level="weak")
+    save_corpus(c, path)
+    loaded, _ = load_corpus(path)
+    assert [q.normalized_text for q in loaded.quotes] == [q.normalized_text for q in c.quotes]

@@ -295,12 +295,28 @@ def test_space_json_roundtrip(tmp_path):
 
 
 def test_vectors_jsonl_roundtrip(tmp_path):
-    vectors = [FeatureVector("u", (0, 1)), FeatureVector("v", ())]
+    vectors = [
+        FeatureVector("u", (0, 1)), FeatureVector("v", ()), FeatureVector("مستخدم\u2028", (2,))
+    ]
     path = tmp_path / "vectors.jsonl"
     save_vectors(vectors, path, space_hash="h123")
     loaded, space_hash = load_vectors(path)
     assert loaded == vectors
     assert space_hash == "h123"
+    # Non-ASCII ids are written raw, as in matches.jsonl.
+    assert '"user_id": "مستخدم\u2028"'.encode() in path.read_bytes()
+
+
+@given(st.lists(st.tuples(_ANY_ID, _ANY_ID), min_size=1, max_size=8))
+def test_space_and_vectors_roundtrip_any_unicode_id(tmp_path_factory, pairs):
+    table = tie_table(_tie(u, t) for u, t in pairs)
+    space = build_feature_space(table)
+    vectors, _ = encode_users(table, space)
+    out = tmp_path_factory.mktemp("space")
+    save_space(space, out / "space.json")
+    save_vectors(vectors, out / "vectors.jsonl", space.manifest_hash)
+    assert load_space(out / "space.json") == space
+    assert load_vectors(out / "vectors.jsonl") == (vectors, space.manifest_hash)
 
 
 def test_manifest_hash_changes_with_columns():

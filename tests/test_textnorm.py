@@ -9,7 +9,6 @@ from quotematch.textnorm import (
     normalize_arabic,
     shingle,
     strip_quote_prefix,
-    tokenize,
 )
 
 
@@ -150,6 +149,7 @@ def test_shingle_unigrams():
 
 def test_shingle_bigrams():
     assert shingle("a b c", n=2).shingles == frozenset({"a b", "b c"})
+    assert shingle("a b c").source_token_count == 3
 
 
 def test_shingle_too_few_tokens():
@@ -167,8 +167,3 @@ def test_shingle_invalid_n():
 @given(st.permutations(["aa", "bb", "cc", "dd"]))
 def test_unigram_shingles_order_insensitive(tokens):
     assert shingle(" ".join(tokens)).shingles == shingle("aa bb cc dd").shingles
-
-
-def test_tokenize_counts():
-    assert tokenize("a b c") == ["a", "b", "c"]
-    assert shingle("a b c").source_token_count == 3
