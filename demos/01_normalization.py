@@ -29,8 +29,8 @@ print("\n=== shingles ===")
 body = strip_quote_prefix(normalized)
 for n in (1, 2):
     s = shingle(body, n)
-    print(f"  n={n}: {len(s)} shingles from {s.source_token_count} tokens")
-    print(f"        {sorted(s.shingles)[:4]} ...")
+    print(f"  n={n}: {len(s)} shingles from {len(body.split())} tokens")
+    print(f"        {sorted(s)[:4]} ...")
 
 # Normalization is idempotent: a normalized string is its own normal form.
 assert normalize_arabic(normalized) == normalized

@@ -1,6 +1,6 @@
 """Exact matching over a compiled corpus, and the strict 0.35 threshold.
 
-Run: python demos/03_minhash_matching.py
+Run: python demos/03_exact_matching.py
 
 Matching is exact; the MinHash estimator plays no part in it.
 """

@@ -26,7 +26,6 @@ from .features import (
     TieTable,
     build_feature_space,
     encode_users,
-    prune_features,
     tie_table,
 )
 from .matcher import (
@@ -35,7 +34,6 @@ from .matcher import (
     MatchResult,
     MinHashParams,
     MinHashSignature,
-    RefuteLexicon,
     build_index,
     contains_refute_term,
     estimate_jaccard,
@@ -60,8 +58,7 @@ from .model import (
 from .synth import SyntheticSpec, generate
 from .textnorm import (
     NormalizedText,
-    PrefixLexicon,
-    ShingleSet,
+    PhraseLexicon,
     normalize_arabic,
     shingle,
     strip_quote_prefix,

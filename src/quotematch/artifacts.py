@@ -1,4 +1,5 @@
-"""Every stage artifact's file format: JSON, JSONL and CSV writers and readers.
+"""Every stage artifact's file format: JSON, JSONL and CSV writers and readers,
+and the one reader of plain line files (lexicons, exclusion lists).
 
 A file that is not valid JSON or CSV, a record that is not an object, or one
 that lacks a required key raises ``ValueError("<path>: [line N: ]...")`` (the
@@ -97,3 +98,12 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
             raise ValueError(f"{path}: {exc}") from None
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The stripped non-blank lines of a plain UTF-8 text file, one entry per line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [line.strip() for line in text.splitlines() if line.strip()]

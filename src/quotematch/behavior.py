@@ -24,11 +24,10 @@ from .matcher import (
     CompiledIndex,
     MatchKind,
     MatchResult,
-    RefuteLexicon,
     contains_refute_term,
     match_post,
 )
-from .textnorm import PrefixLexicon
+from .textnorm import DEFAULT_PREFIXES, PhraseLexicon
 
 logger = logging.getLogger(__name__)
 
@@ -125,11 +124,11 @@ def write_timeline(posts: Sequence[Post], path: str | Path) -> None:
 def scan_timeline(
     posts: Sequence[Post],
     index: CompiledIndex,
-    refute_lexicon: RefuteLexicon = DEFAULT_REFUTES,
+    refute_lexicon: PhraseLexicon = DEFAULT_REFUTES,
     threshold: float = 0.35,
     *,
     user_id: str | None = None,
-    prefix_lexicon: PrefixLexicon | None = None,
+    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> tuple[UserStats, list[MatchResult]]:
     """Run every post through the matcher and aggregate one user's counts.
 
@@ -359,8 +358,8 @@ def read_stats_csv(path: str | Path) -> list[tuple[UserStats, BehaviorLabel | No
         if not "".join(parts).strip():
             continue
         try:
-            if len(parts) < len(STATS_CSV_FIELDS):
-                raise ValueError(f"expected >= {len(STATS_CSV_FIELDS)} columns")
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
             stats = UserStats(
                 user_id=parts[0],
                 total_hadith=int(parts[1]),

@@ -23,7 +23,7 @@ from . import behavior, corpus as corpus_mod, features as features_mod, matcher,
 from .artifacts import VersionMismatchError, read_csv, write_csv, write_json, write_jsonl
 from .behavior import BehaviorLabel, DEFAULT_THRESHOLDS, LabelThresholds
 from .model import LogitHyperparams
-from .textnorm import PrefixLexicon
+from .textnorm import DEFAULT_PREFIXES, PhraseLexicon
 
 
 class MissingInputError(Exception):
@@ -41,16 +41,8 @@ def _require(path: str | Path) -> Path:
     return p
 
 
-def _prefix_lexicon(args) -> PrefixLexicon | None:
-    if getattr(args, "prefixes", None):
-        return PrefixLexicon.from_file(_require(args.prefixes))
-    return None
-
-
-def _refute_lexicon(args) -> matcher.RefuteLexicon:
-    if getattr(args, "refutes", None):
-        return matcher.RefuteLexicon.from_file(_require(args.refutes))
-    return matcher.DEFAULT_REFUTES
+def _lexicon(path: str | None, default: PhraseLexicon) -> PhraseLexicon:
+    return PhraseLexicon.from_file(_require(path)) if path else default
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +54,7 @@ def _write_report(args, **fields) -> None:
 
 
 def cmd_corpus_build(args) -> None:
-    lexicon = _prefix_lexicon(args)
+    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     built, report = corpus_mod.load_corpus(_require(args.input), lexicon)
     corpus_mod.save_corpus(built, args.out)
     _write_report(args, rows=report.rows, collapsed=report.collapsed, quotes=len(built))
@@ -70,7 +62,7 @@ def cmd_corpus_build(args) -> None:
 
 
 def cmd_corpus_merge(args) -> None:
-    lexicon = _prefix_lexicon(args)
+    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     a, _ = corpus_mod.load_corpus(_require(args.a), lexicon)
     b, _ = corpus_mod.load_corpus(_require(args.b), lexicon)
     merged, report = corpus_mod.merge_corpora(a, b)
@@ -83,7 +75,7 @@ def cmd_corpus_merge(args) -> None:
 
 
 def cmd_corpus_filter(args) -> None:
-    lexicon = _prefix_lexicon(args)
+    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     base, _ = corpus_mod.load_corpus(_require(args.corpus), lexicon)
     exclude = corpus_mod.load_exclusion_list(_require(args.exclude))
     filtered, report = corpus_mod.filter_corpus(base, exclude)
@@ -102,7 +94,7 @@ def cmd_corpus_filter(args) -> None:
 
 def cmd_index(args) -> None:
     corpus_path = _require(args.corpus)
-    lexicon = _prefix_lexicon(args)
+    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     built, _ = corpus_mod.load_corpus(corpus_path, lexicon)
     index = matcher.build_index(
         built, args.shingle_n, corpus_hash=_sha256(corpus_path), prefix_lexicon=lexicon
@@ -119,13 +111,13 @@ def cmd_scan(args) -> None:
     corpus_path = _require(args.corpus)
     index_path = _require(args.index)
     timelines_dir = _require(args.timelines)
-    lexicon = _prefix_lexicon(args)
+    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     index = matcher.load_index(
         index_path,
         corpus_hash=_sha256(corpus_path),
         prefix_lexicon=lexicon,
     )
-    refutes = _refute_lexicon(args)
+    refutes = _lexicon(args.refutes, matcher.DEFAULT_REFUTES)
 
     files = sorted(Path(timelines_dir).glob("*.jsonl"))
     scanned = [
@@ -201,8 +193,6 @@ def cmd_features(args) -> None:
     ties = features_mod.read_ties_csv(ties_path, dataset_users)
     space = features_mod.build_feature_space(ties)
     vectors, dropped = features_mod.encode_users(ties, space)
-    if args.min_support > 0:
-        space, vectors = features_mod.prune_features(space, vectors, args.min_support)
     features_mod.save_space(space, args.out_space, ties_hash=_sha256(ties_path))
     features_mod.save_vectors(vectors, args.out_vectors, space.manifest_hash)
     print(
@@ -217,11 +207,7 @@ def cmd_features(args) -> None:
 
 def _load_xy(args) -> tuple:
     space = features_mod.load_space(_require(args.space))
-    vectors, space_hash = features_mod.load_vectors(_require(args.vectors))
-    if space_hash != space.manifest_hash:
-        raise VersionMismatchError(
-            f"vectors {args.vectors} were encoded against a different feature space"
-        )
+    vectors, _ = features_mod.load_vectors(_require(args.vectors), space)
     labels = {
         stats.user_id: label for stats, label in behavior.read_stats_csv(_require(args.labeled))
     }
@@ -434,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     features_p.add_argument("--out-space", required=True)
     features_p.add_argument("--out-vectors", required=True)
     features_p.add_argument("--labeled", help="restrict to circulator/debunker users")
-    features_p.add_argument("--min-support", type=int, default=0)
     features_p.set_defaults(func=cmd_features)
 
     train_p = sub.add_parser("train", help="cross-validate and fit the tie classifier")

@@ -2,7 +2,8 @@
 
 Corpus files are UTF-8 TSV with header ``id<TAB>authenticity<TAB>source<TAB>text``,
 one quote per line. A leading BOM is tolerated and stripped. Exclusion lists
-are plain text, one quote id per line.
+are plain text, one quote id per line, read by ``artifacts.read_lines``. Load
+errors name the file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .textnorm import PrefixLexicon, normalize_arabic, strip_quote_prefix
+from .artifacts import read_lines
+from .textnorm import DEFAULT_PREFIXES, PhraseLexicon, normalize_arabic, strip_quote_prefix
 
 TSV_HEADER = "id\tauthenticity\tsource\ttext"
 # ``str.splitlines``, which reads a corpus file, ends a row at each of these.
@@ -113,7 +115,7 @@ class FilterReport:
 
 def build_corpus(
     rows: Iterable[tuple[str, str, str, str]],
-    prefix_lexicon: PrefixLexicon | None = None,
+    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
     line_offset: int = 0,
 ) -> tuple[ReferenceCorpus, LoadReport]:
     """Build a corpus from (id, authenticity, source, text) rows.
@@ -175,12 +177,18 @@ def _parse_tsv(content: str) -> Iterable[tuple[str, str, str, str]]:
 
 
 def load_corpus(
-    path: str | Path, prefix_lexicon: PrefixLexicon | None = None
+    path: str | Path, prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES
 ) -> tuple[ReferenceCorpus, LoadReport]:
-    """Load a TSV corpus file. An empty file yields an empty corpus."""
-    content = Path(path).read_text(encoding="utf-8-sig")
-    rows = list(_parse_tsv(content))
-    return build_corpus(rows, prefix_lexicon, line_offset=1)
+    """Load a TSV corpus file. An empty file yields an empty corpus; a
+    malformed one raises ``CorpusError("<path>: ...")``."""
+    try:
+        rows = list(_parse_tsv(Path(path).read_text(encoding="utf-8-sig")))
+        return build_corpus(rows, prefix_lexicon, line_offset=1)
+    except UnicodeDecodeError as exc:
+        raise CorpusParseError(f"{path}: {exc}") from None
+    except CorpusError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_corpus(corpus: ReferenceCorpus, path: str | Path) -> None:
@@ -248,5 +256,4 @@ def filter_corpus(
 
 def load_exclusion_list(path: str | Path) -> set[str]:
     """Read an exclusion list: one quote id per line, blanks skipped."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    return {line.strip() for line in lines if line.strip()}
+    return set(read_lines(path))

@@ -24,7 +24,8 @@ import numpy as np
 from scipy import sparse
 
 from .artifacts import (
-    check_record, read_csv, read_json, read_jsonl, write_csv, write_json, write_jsonl,
+    VersionMismatchError, check_record, read_csv, read_json, read_jsonl, write_csv, write_json,
+    write_jsonl,
 )
 
 
@@ -172,28 +173,6 @@ def kind_counts(ties: TieTable) -> dict[str, tuple[int, ...]]:
     return {user: tuple(row) for user, row in zip(ties.users, counts.tolist())}
 
 
-def prune_features(
-    space: FeatureSpace, vectors: Sequence[FeatureVector], min_support: int
-) -> tuple[FeatureSpace, list[FeatureVector]]:
-    """Drop columns with support below ``min_support``; remap order-preserving."""
-    if min_support < 0:
-        raise ValueError(f"min_support must be >= 0, got {min_support}")
-    keep = [i for i in range(space.n_columns) if space.support[i] >= min_support]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_space = FeatureSpace(
-        columns=tuple(space.columns[i] for i in keep),
-        support=tuple(space.support[i] for i in keep),
-    )
-    new_vectors = [
-        FeatureVector(
-            user_id=v.user_id,
-            columns=tuple(remap[c] for c in v.columns if c in remap),
-        )
-        for v in vectors
-    ]
-    return new_space, new_vectors
-
-
 def to_csr(vectors: Sequence[FeatureVector], n_columns: int) -> sparse.csr_matrix:
     """Stack binary vectors into a CSR matrix with one row per vector."""
     indptr = [0]
@@ -265,18 +244,40 @@ def save_vectors(
     ])
 
 
-def load_vectors(path: str | Path) -> tuple[list[FeatureVector], str]:
-    """Load JSONL vectors; returns them plus the recorded space hash."""
+def load_vectors(
+    path: str | Path, space: FeatureSpace | None = None
+) -> tuple[list[FeatureVector], str]:
+    """Load JSONL vectors; returns them plus the recorded space hash.
+
+    A line's ``columns`` must be strictly ascending non-negative integers.
+    Given ``space``, the vectors must be bound to its manifest hash
+    (:class:`VersionMismatchError` otherwise) and their columns must lie in it."""
     records = read_jsonl(path)
     line_no, meta = next(records, (None, None))
     if line_no is None:
         raise ValueError(f"{path}: empty vectors file")
     check_record(path, line_no, meta, ("format_version", "space_hash"), 1)
+    if space is not None and meta["space_hash"] != space.manifest_hash:
+        raise VersionMismatchError(
+            f"vectors {path} were encoded against a different feature space"
+        )
     vectors = []
     for line_no, obj in records:
         check_record(path, line_no, obj, ("user_id", "columns"))
         try:
-            vectors.append(FeatureVector(user_id=obj["user_id"], columns=tuple(obj["columns"])))
+            columns = tuple(obj["columns"])
         except TypeError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        if not all(type(c) is int for c in columns) or any(
+            a >= b for a, b in zip((-1,) + columns, columns)
+        ):
+            raise ValueError(
+                f"{path}: line {line_no}: columns must be ascending non-negative integers"
+            )
+        if space is not None and columns and columns[-1] >= space.n_columns:
+            raise ValueError(
+                f"{path}: line {line_no}: column {columns[-1]} is outside the "
+                f"{space.n_columns}-column feature space"
+            )
+        vectors.append(FeatureVector(user_id=obj["user_id"], columns=columns))
     return vectors, meta["space_hash"]

@@ -12,6 +12,12 @@ ICDE 2008). Every quote that shares a shingle is scored exactly; nothing is
 pruned, so on Zipf-distributed text, where frequent words are shared, most
 of the corpus is scored for every post.
 
+Shingle sets are plain ``frozenset``s from :func:`textnorm.shingle`. The 14
+refuting phrases are a :class:`textnorm.PhraseLexicon` (``DEFAULT_REFUTES``),
+found as consecutive tokens of the whole normalized post before its quote
+introduction is stripped with the prefix lexicon (``DEFAULT_PREFIXES`` unless
+one is given). The index binds the prefix lexicon by :func:`_prefix_hash`.
+
 The MinHash estimator (:func:`minhash_signature`, :func:`estimate_jaccard`)
 stands alone: neither the index nor the scan uses it.
 """
@@ -24,7 +30,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from hashlib import blake2b, sha256
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -32,8 +37,7 @@ from .artifacts import VersionMismatchError
 from .corpus import AuthenticityLevel, ReferenceCorpus
 from .textnorm import (
     DEFAULT_PREFIXES,
-    PrefixLexicon,
-    ShingleSet,
+    PhraseLexicon,
     normalize_arabic,
     shingle,
     strip_quote_prefix,
@@ -97,16 +101,12 @@ def _hash_coefficients(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def minhash_signature(shingles: ShingleSet, params: MinHashParams) -> MinHashSignature:
+def minhash_signature(shingles: frozenset[str], params: MinHashParams) -> MinHashSignature:
     """Deterministic signature of a shingle set under the seeded hash family."""
     if not shingles:
         return MinHashSignature(np.full(params.k, _SENTINEL, dtype=np.uint64), params.seed)
     a, b = _hash_coefficients(params.k, params.seed)
-    x = np.fromiter(
-        (_base_hash(s) for s in shingles.shingles),
-        dtype=np.uint64,
-        count=len(shingles.shingles),
-    )
+    x = np.fromiter((_base_hash(s) for s in shingles), dtype=np.uint64, count=len(shingles))
     # (k, m) affine hashes with uint64 wraparound; minimum over the set.
     values = (a[:, None] * x[None, :] + b[:, None]).min(axis=1)
     return MinHashSignature(np.minimum(values, _CLAMP), params.seed)
@@ -121,17 +121,17 @@ def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     return float(np.count_nonzero(a.values == b.values)) / a.k
 
 
-def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
+def exact_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     """|a ∩ b| / |a ∪ b|, with 0.0 when both sets are empty."""
-    if not a.shingles and not b.shingles:
+    if not a and not b:
         return 0.0
-    inter = len(a.shingles & b.shingles)
-    union = len(a.shingles) + len(b.shingles) - inter
+    inter = len(a & b)
+    union = len(a) + len(b) - inter
     return inter / union
 
 
 # The 14 phrases Arabic speakers use to flag a quote as non-authentic.
-# Stored raw; RefuteLexicon normalizes them on construction.
+# Stored raw; PhraseLexicon normalizes them on construction.
 DEFAULT_REFUTE_PHRASES = (
     "حديث موضوع",
     "حديث مفبرك",
@@ -150,33 +150,10 @@ DEFAULT_REFUTE_PHRASES = (
 )
 
 
-@dataclass(frozen=True)
-class RefuteLexicon:
-    """Refuting phrases, as normalized token tuples."""
-
-    phrases: tuple[tuple[str, ...], ...]
-
-    @classmethod
-    def from_phrases(cls, phrases: Iterable[str]) -> "RefuteLexicon":
-        toks = {tuple(normalize_arabic(p).split()) for p in phrases}
-        toks.discard(())
-        if not toks:
-            raise ValueError("refute lexicon is empty")
-        return cls(phrases=tuple(sorted(toks)))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RefuteLexicon":
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-        return cls.from_phrases(line for line in lines if line.strip())
-
-    def __len__(self) -> int:
-        return len(self.phrases)
+DEFAULT_REFUTES = PhraseLexicon.from_phrases(DEFAULT_REFUTE_PHRASES)
 
 
-DEFAULT_REFUTES = RefuteLexicon.from_phrases(DEFAULT_REFUTE_PHRASES)
-
-
-def _contains_phrase(tokens: list[str], lexicon: RefuteLexicon) -> bool:
+def _contains_phrase(tokens: list[str], lexicon: PhraseLexicon) -> bool:
     for phrase in lexicon.phrases:
         k = len(phrase)
         for i in range(len(tokens) - k + 1):
@@ -185,7 +162,7 @@ def _contains_phrase(tokens: list[str], lexicon: RefuteLexicon) -> bool:
     return False
 
 
-def contains_refute_term(post_text: str, lexicon: RefuteLexicon = DEFAULT_REFUTES) -> bool:
+def contains_refute_term(post_text: str, lexicon: PhraseLexicon = DEFAULT_REFUTES) -> bool:
     """True iff a refuting phrase occurs as consecutive tokens of the post."""
     return _contains_phrase(normalize_arabic(post_text).split(), lexicon)
 
@@ -205,10 +182,9 @@ class MatchResult:
     kind: MatchKind
 
 
-def _prefix_hash(lexicon: PrefixLexicon | None) -> str:
-    """Content hash of the prefix lexicon that stripping uses (the default for None)."""
-    patterns = (lexicon if lexicon is not None else DEFAULT_PREFIXES).patterns
-    return sha256(json.dumps(patterns, ensure_ascii=False).encode("utf-8")).hexdigest()
+def _prefix_hash(lexicon: PhraseLexicon) -> str:
+    """Content hash of the prefix lexicon that stripping uses."""
+    return sha256(json.dumps(lexicon.phrases, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
 @dataclass(eq=False)
@@ -252,12 +228,11 @@ class CompiledIndex:
         np.cumsum(np.bincount(self.columns, minlength=len(self.vocabulary)), out=ptr[1:])
         return ptr, rows[order]
 
-    def quote_shingles(self, row: int) -> ShingleSet:
-        """Shingle set of quote ``row``. The index keeps no token counts, so
-        ``source_token_count`` is the shingle count. Used by ``match_post`` only
-        to keep ``exact_jaccard`` on the traced path."""
+    def quote_shingles(self, row: int) -> frozenset[str]:
+        """Shingle set of quote ``row``. Used by ``match_post`` only to keep
+        ``exact_jaccard`` on the traced path."""
         cols = self.columns[self.indptr[row] : self.indptr[row + 1]].tolist()
-        return ShingleSet(frozenset(self.vocabulary[c] for c in cols), len(cols))
+        return frozenset(self.vocabulary[c] for c in cols)
 
 
 def build_index(
@@ -265,7 +240,7 @@ def build_index(
     shingle_n: int = 1,
     *,
     corpus_hash: str | None = None,
-    prefix_lexicon: PrefixLexicon | None = None,
+    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> CompiledIndex:
     """Compile a corpus whose texts were prefix-stripped with ``prefix_lexicon``.
 
@@ -275,7 +250,7 @@ def build_index(
     if len(corpus) == 0:
         raise MatcherError("cannot index an empty corpus")
     quotes = sorted(corpus.quotes, key=lambda q: q.id)
-    sets = [shingle(q.normalized_text, shingle_n).shingles for q in quotes]
+    sets = [shingle(q.normalized_text, shingle_n) for q in quotes]
     vocabulary = sorted(frozenset().union(*sets))
     column_of = {s: i for i, s in enumerate(vocabulary)}
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
@@ -299,14 +274,14 @@ def build_index(
     )
 
 
-def query_candidates(index: CompiledIndex, shingles: ShingleSet) -> np.ndarray:
+def query_candidates(index: CompiledIndex, shingles: frozenset[str]) -> np.ndarray:
     """(row, intersection size) of every quote sharing a shingle with the post.
 
     An (n, 2) int64 array with rows ascending; shingles outside the corpus
     vocabulary share nothing and are skipped.
     """
     column_of = index.column_of
-    cols = [column_of[s] for s in shingles.shingles if s in column_of]
+    cols = [column_of[s] for s in shingles if s in column_of]
     if not cols:
         return np.empty((0, 2), dtype=np.int64)
     ptr, rows = index.postings
@@ -318,11 +293,11 @@ def query_candidates(index: CompiledIndex, shingles: ShingleSet) -> np.ndarray:
 def match_post(
     post_text: str,
     index: CompiledIndex,
-    refute_lexicon: RefuteLexicon = DEFAULT_REFUTES,
+    refute_lexicon: PhraseLexicon = DEFAULT_REFUTES,
     threshold: float = 0.35,
     *,
     post_id: str = "",
-    prefix_lexicon: PrefixLexicon | None = None,
+    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> MatchResult | None:
     """Match one post against the compiled corpus.
 
@@ -392,7 +367,7 @@ def load_index(
     path: str | Path,
     *,
     corpus_hash: str | None = None,
-    prefix_lexicon: PrefixLexicon | None = None,
+    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> CompiledIndex:
     """Load a compiled index and check it against what the caller will scan with.
 

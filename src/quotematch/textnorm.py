@@ -1,9 +1,15 @@
-"""Arabic-aware text normalization, quote-introduction stripping, and shingling.
+"""Arabic-aware text normalization, phrase lexicons, quote-introduction
+stripping, and shingling.
 
 Every similarity operation downstream compares texts in the normal form
 produced by :func:`normalize_arabic`. The rules are deterministic, idempotent,
 and never grow the input: each one either deletes a character or maps it to a
 single replacement, so ``len(normalize_arabic(s)) <= len(s)`` always holds.
+
+A :class:`PhraseLexicon` holds normalized phrases: the quote introductions
+that :func:`strip_quote_prefix` removes (``DEFAULT_PREFIXES``) and the refuting
+phrases the matcher looks for (``matcher.DEFAULT_REFUTES``). A shingle set is a
+plain ``frozenset`` of token n-grams.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TypeAlias
+
+from .artifacts import read_lines
 
 # A normalized string: no diacritics/tatweel, folded letter variants, no
 # punctuation or symbols, single spaces, no leading/trailing whitespace.
@@ -75,7 +83,7 @@ def normalize_arabic(raw: str) -> NormalizedText:
 
 # Quote-introduction phrases commonly prepended to a canonical quote. They are
 # interchangeable and carry no content, so matching strips them. Stored raw;
-# PrefixLexicon normalizes them on construction.
+# PhraseLexicon normalizes them on construction.
 DEFAULT_PREFIX_PATTERNS = (
     "قال رسول الله صلى الله عليه وآله وسلم",
     "قال رسول الله صلى الله عليه وسلم",
@@ -95,36 +103,34 @@ DEFAULT_PREFIX_PATTERNS = (
 
 
 @dataclass(frozen=True)
-class PrefixLexicon:
-    """Ordered quote-introduction patterns, as normalized token tuples.
+class PhraseLexicon:
+    """Phrases as normalized token tuples, longest first, then in string order,
+    so the most specific quote introduction is stripped first."""
 
-    Patterns are kept longest-first so the most specific introduction wins.
-    """
-
-    patterns: tuple[tuple[str, ...], ...]
+    phrases: tuple[tuple[str, ...], ...]
 
     @classmethod
-    def from_patterns(cls, patterns: Iterable[str]) -> "PrefixLexicon":
-        toks = {tuple(normalize_arabic(p).split()) for p in patterns}
+    def from_phrases(cls, phrases: Iterable[str], where: str = "") -> "PhraseLexicon":
+        toks = {tuple(normalize_arabic(p).split()) for p in phrases}
         toks.discard(())
         if not toks:
-            raise ValueError("prefix lexicon is empty")
-        return cls(patterns=tuple(sorted(toks, key=lambda t: (-len(t), t))))
+            raise ValueError(f"{where}lexicon is empty")
+        return cls(tuple(sorted(toks, key=lambda t: (-len(t), t))))
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PrefixLexicon":
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-        return cls.from_patterns(line for line in lines if line.strip())
+    def from_file(cls, path: str | Path) -> "PhraseLexicon":
+        """One phrase per line; an empty lexicon raises ``ValueError`` naming the file."""
+        return cls.from_phrases(read_lines(path), f"{path}: ")
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.phrases)
 
 
-DEFAULT_PREFIXES = PrefixLexicon.from_patterns(DEFAULT_PREFIX_PATTERNS)
+DEFAULT_PREFIXES = PhraseLexicon.from_phrases(DEFAULT_PREFIX_PATTERNS)
 
 
 def strip_quote_prefix(
-    text: NormalizedText, lexicon: PrefixLexicon | None = None
+    text: NormalizedText, lexicon: PhraseLexicon = DEFAULT_PREFIXES
 ) -> NormalizedText:
     """Remove one leading quote-introduction phrase, longest match first.
 
@@ -132,30 +138,15 @@ def strip_quote_prefix(
     whitespace, so a pattern right after an opening quote mark still sits at
     the start of the token sequence. Non-matching text is returned unchanged.
     """
-    lex = lexicon if lexicon is not None else DEFAULT_PREFIXES
     tokens = text.split()
-    for pattern in lex.patterns:
+    for pattern in lexicon.phrases:
         k = len(pattern)
         if len(tokens) >= k and tuple(tokens[:k]) == pattern:
             return " ".join(tokens[k:])
     return text
 
 
-@dataclass(frozen=True)
-class ShingleSet:
-    """Set of token n-grams plus the token count of the source text."""
-
-    shingles: frozenset[str]
-    source_token_count: int
-
-    def __len__(self) -> int:
-        return len(self.shingles)
-
-    def __bool__(self) -> bool:
-        return bool(self.shingles)
-
-
-def shingle(text: NormalizedText, n: int = 1) -> ShingleSet:
+def shingle(text: NormalizedText, n: int = 1) -> frozenset[str]:
     """All consecutive n-token windows of a normalized string, as a set.
 
     For n=1 this is the token set. Texts with fewer than n tokens yield the
@@ -164,10 +155,6 @@ def shingle(text: NormalizedText, n: int = 1) -> ShingleSet:
     if n < 1:
         raise ValueError(f"shingle size must be >= 1, got {n}")
     tokens = text.split()
-    if len(tokens) < n:
-        return ShingleSet(frozenset(), len(tokens))
     if n == 1:
-        grams: Iterable[str] = tokens
-    else:
-        grams = (" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    return ShingleSet(frozenset(grams), len(tokens))
+        return frozenset(tokens)
+    return frozenset(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))

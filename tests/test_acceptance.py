@@ -114,9 +114,7 @@ def test_minhash_calibration():
         a = frozenset(picks[:size_a])
         b = frozenset(picks[size_a - overlap :])
         exact = len(a & b) / len(a | b)
-        est = estimate_jaccard(
-            minhash_signature(_as_sset(a), params), minhash_signature(_as_sset(b), params)
-        )
+        est = estimate_jaccard(minhash_signature(a, params), minhash_signature(b, params))
         errors.append(est - exact)
     errors = np.asarray(errors)
     mean_abs = float(np.mean(np.abs(errors)))
@@ -128,12 +126,6 @@ def test_minhash_calibration():
         ok,
         f"mean|err|={mean_abs:.4f} (<=0.125), sd={spread:.4f} (<=0.075), {elapsed:.1f}s < 30s",
     )
-
-
-def _as_sset(tokens):
-    from quotematch.textnorm import ShingleSet
-
-    return ShingleSet(frozenset(tokens), len(tokens))
 
 
 def test_refute_rule_exhaustive_grid():

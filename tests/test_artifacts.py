@@ -11,6 +11,7 @@ from quotematch.artifacts import (
     read_csv,
     read_json,
     read_jsonl,
+    read_lines,
     write_csv,
     write_json,
     write_jsonl,
@@ -96,3 +97,12 @@ def test_line_format_errors_name_the_file_and_line(tmp_path):
     path.write_bytes(b"h\nok\n\xff\n")
     with pytest.raises(ValueError, match=r"a\.csv: 'utf-8' codec"):
         list(read_csv(path))
+
+
+def test_read_lines_strips_bom_and_blank_lines_and_names_the_file(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes("\ufeffq1\n\n  \n q2 \r\nقال\n".encode("utf-8"))
+    assert read_lines(path) == ["q1", "q2", "قال"]
+    path.write_bytes(b"q1\n\xff\n")
+    with pytest.raises(ValueError, match=r"a\.txt: 'utf-8' codec"):
+        read_lines(path)

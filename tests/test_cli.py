@@ -151,6 +151,38 @@ def _index_and_scan(tmp_path, index_args=(), scan_args=()):
     ])
 
 
+_NOT_UTF8 = b"q1\n\x80\n"
+_SCAN = ["scan", "--index", "{t}/i.bin", "--corpus", "{t}/c.tsv", "--timelines", "{t}/timelines",
+         "--out-stats", "{t}/s.csv", "--out-matches", "{t}/m.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["corpus", "build", "--input", "{t}/bad.txt", "--out", "{t}/o.tsv"],
+         (TSV_HEADER + "\nq1\tweak\tno text\n").encode("utf-8"),
+         r"bad\.txt: line 2: expected 4 tab-separated columns, got 3"),
+        (["corpus", "build", "--input", "{t}/bad.txt", "--out", "{t}/o.tsv"], _NOT_UTF8,
+         r"bad\.txt: 'utf-8' codec can't decode"),
+        (["index", "--corpus", "{t}/c.tsv", "--out", "{t}/i2.bin", "--prefixes", "{t}/bad.txt"],
+         b"\n  \n", r"bad\.txt: lexicon is empty"),
+        (["corpus", "build", "--input", "{t}/c.tsv", "--out", "{t}/o.tsv",
+          "--prefixes", "{t}/bad.txt"], _NOT_UTF8, r"bad\.txt: 'utf-8' codec can't decode"),
+        (_SCAN + ["--refutes", "{t}/bad.txt"], b"!!\n", r"bad\.txt: lexicon is empty"),
+        (["corpus", "filter", "--corpus", "{t}/c.tsv", "--exclude", "{t}/bad.txt",
+          "--out", "{t}/o.tsv"], _NOT_UTF8, r"bad\.txt: 'utf-8' codec can't decode"),
+    ],
+    ids=["corpus-three-columns", "corpus-not-utf8", "prefixes-blank", "prefixes-not-utf8",
+         "refutes-punctuation-only", "exclusion-list-not-utf8"],
+)
+def test_input_file_error_exit_4_names_file(tmp_path, capsys, argv, content, message):
+    _index_and_scan(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(content)
+    capsys.readouterr()
+    assert main([arg.format(t=tmp_path) for arg in argv]) == 4
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_scan_version_1_index_exit_3(tmp_path, capsys):
     scan = _index_and_scan(tmp_path)
     (tmp_path / "i.bin").write_bytes(b"QMIDX001" + (32).to_bytes(4, "little") + b"{}")
@@ -376,12 +408,14 @@ def test_report_with_category_map(tmp_path):
 def test_report_space_mismatch_exit_3(tmp_path, capsys):
     fx, work = tmp_path / "fx", tmp_path / "work"
     _run_pipeline(fx, work)
-    # Rebuild a different feature space and point report at it.
+    # One more tie, to a new target, gives a different feature space.
+    ties = tmp_path / "other_ties.csv"
+    ties.write_text((fx / "ties.csv").read_text(encoding="utf-8") + "circ_0000,new_page,follow\n",
+                    encoding="utf-8")
     other = tmp_path / "other_space.json"
-    assert main(["features", "--ties", str(fx / "ties.csv"),
+    assert main(["features", "--ties", str(ties),
                  "--out-space", str(other),
-                 "--out-vectors", str(tmp_path / "other_vectors.jsonl"),
-                 "--min-support", "5"]) == 0
+                 "--out-vectors", str(tmp_path / "other_vectors.jsonl")]) == 0
     rc = main(["report", "--model", str(work / "model.json"), "--space", str(other),
                "--out-dir", str(tmp_path / "r")])
     assert rc == 3
@@ -475,12 +509,30 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          r"categories\.csv: line 3: expected 2 fields target_id,category, got 3"),
         (_FEATURES, _replace_text("ties.csv", lambda _: 'u,"a\nb",follow\nv,b,block\n'), 4,
          r"ties\.csv: line 3: unknown tie kind 'block'"),
+        (_TRAIN, _edit_vectors(2, columns="12"), 4,
+         r"vectors\.jsonl: line 2: columns must be ascending non-negative integers"),
+        (_TRAIN, _edit_vectors(2, columns=[0, True]), 4,
+         r"vectors\.jsonl: line 2: columns must be ascending non-negative integers"),
+        (_TRAIN, _edit_vectors(2, columns=[2, 1]), 4,
+         r"vectors\.jsonl: line 2: columns must be ascending non-negative integers"),
+        (_TRAIN, _edit_vectors(2, columns=[-1]), 4,
+         r"vectors\.jsonl: line 2: columns must be ascending non-negative integers"),
+        (_TRAIN, _edit_vectors(2, columns=[10**6]), 4,
+         r"vectors\.jsonl: line 2: column 1000000 is outside the \d+-column feature space"),
+        (_TRAIN, _replace_text("labeled.csv", lambda text: re.sub(
+            r"\n(.*)\n", r"\n\1,extra\n", text, count=1)), 4,
+         r"labeled\.csv: line 2: expected 6 fields, got 7"),
+        (_TRAIN, _replace_text("labeled.csv", lambda text: re.sub(
+            r"\n(.*),[^,\n]*\n", r"\n\1\n", text, count=1)), 4,
+         r"labeled\.csv: line 2: expected 6 fields, got 5"),
     ],
     ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
          "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
          "space-v99", "vectors-v99", "model-v99", "vectors-empty-space-hash",
          "model-empty-space-hash", "space-empty-manifest-hash", "category-map-three-fields",
-         "ties-line-after-quoted-newline"],
+         "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
+         "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",
+         "stats-extra-field", "stats-missing-field"],
 )
 def test_bad_artifact_exit_code_names_file(
     pipeline_dir, tmp_path, capsys, argv, edit, code, message

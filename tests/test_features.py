@@ -9,7 +9,6 @@ from quotematch.features import (
     kind_counts,
     load_space,
     load_vectors,
-    prune_features,
     read_ties_csv,
     save_space,
     save_vectors,
@@ -182,40 +181,6 @@ def test_column_count_equals_distinct_pairs():
         _tie("u2", "b", TieKind.LIKE_AUTHOR),
     ]
     assert _space(ties).n_columns == 3
-
-
-def test_prune_identity_at_zero():
-    ties = [_tie("u", "a"), _tie("v", "b")]
-    space = _space(ties)
-    vectors, _ = _encode(ties, space)
-    pruned_space, pruned_vectors = prune_features(space, vectors, 0)
-    assert pruned_space.columns == space.columns
-    assert pruned_vectors == vectors
-
-
-def test_prune_drops_low_support_columns():
-    ties = [_tie("u", "a"), _tie("v", "a"), _tie("u", "rare")]
-    space = _space(ties)
-    vectors, _ = _encode(ties, space)
-    pruned_space, pruned_vectors = prune_features(space, vectors, 2)
-    assert pruned_space.columns == (("a", TieKind.FOLLOW),)
-    by_user = {v.user_id: v for v in pruned_vectors}
-    assert by_user["u"].columns == (0,)
-    assert by_user["v"].columns == (0,)
-
-
-def test_prune_everything():
-    ties = [_tie("u", "a")]
-    space = _space(ties)
-    vectors, _ = _encode(ties, space)
-    pruned_space, pruned_vectors = prune_features(space, vectors, 5)
-    assert pruned_space.n_columns == 0
-    assert all(v.columns == () for v in pruned_vectors)
-
-
-def test_prune_negative_min_support():
-    with pytest.raises(ValueError):
-        prune_features(_space([]), [], -1)
 
 
 def test_to_csr_shape_and_values():

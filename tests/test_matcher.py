@@ -13,7 +13,7 @@ from quotematch.matcher import (
     MatcherError,
     MatchKind,
     MinHashParams,
-    RefuteLexicon,
+    _prefix_hash,
     build_index,
     contains_refute_term,
     estimate_jaccard,
@@ -24,13 +24,13 @@ from quotematch.matcher import (
     query_candidates,
     save_index,
 )
-from quotematch.textnorm import PrefixLexicon, ShingleSet, shingle
+from quotematch.textnorm import DEFAULT_PREFIXES, PhraseLexicon, shingle
 
 PARAMS = MinHashParams(seed=123)
 
 
 def _sset(*tokens):
-    return ShingleSet(frozenset(tokens), len(tokens))
+    return frozenset(tokens)
 
 
 def _corpus(rows):
@@ -122,8 +122,7 @@ def test_exact_jaccard_values():
     st.sets(st.sampled_from("abcdefghij"), max_size=10),
 )
 def test_exact_jaccard_symmetric_in_range(xs, ys):
-    a = ShingleSet(frozenset(xs), len(xs))
-    b = ShingleSet(frozenset(ys), len(ys))
+    a, b = frozenset(xs), frozenset(ys)
     sim = exact_jaccard(a, b)
     assert 0.0 <= sim <= 1.0
     assert sim == exact_jaccard(b, a)
@@ -249,7 +248,7 @@ def test_all_default_phrases_detected():
 def test_refute_lexicon_file(tmp_path):
     path = tmp_path / "refutes.txt"
     path.write_text("خبر ملفق\n", encoding="utf-8")
-    lex = RefuteLexicon.from_file(path)
+    lex = PhraseLexicon.from_file(path)
     assert contains_refute_term("هذا خبر ملفق", lex)
     assert not contains_refute_term("هذا حديث موضوع", lex)
 
@@ -318,10 +317,18 @@ def test_index_load_rejects_wrong_corpus(tmp_path):
 
 def test_index_load_rejects_other_prefixes(tmp_path):
     _, path = _saved(tmp_path, shingle_n=2)
-    other = PrefixLexicon.from_patterns(["قال"])
+    other = PhraseLexicon.from_phrases(["قال"])
     with pytest.raises(VersionMismatchError, match="prefix lexicon"):
         load_index(path, prefix_lexicon=other)
     assert load_index(path).shingle_n == 2
+
+
+def test_default_prefix_hash_is_pinned():
+    # Every index.bin header records this hash; a lexicon change that reorders
+    # the default patterns would invalidate every built index.
+    assert _prefix_hash(DEFAULT_PREFIXES) == (
+        "2718dbfc498ef0f4a3aafedb151d88d02000fa797c0864832f1f305d643c23f7"
+    )
 
 
 def test_index_load_rejects_unsorted_or_repeated_row_columns(tmp_path):
@@ -355,9 +362,9 @@ def test_query_candidates_equal_brute_force_counts(quote_sets, post):
     rows = [(f"q{i}", "weak", "t", " ".join(sorted(q))) for i, q in enumerate(quote_sets)]
     ix = build_index(_corpus(rows))
     want = [
-        [row, len(set(ix.quote_shingles(row).shingles) & post)]
+        [row, len(ix.quote_shingles(row) & post)]
         for row in range(len(ix))
-        if set(ix.quote_shingles(row).shingles) & post
+        if ix.quote_shingles(row) & post
     ]
     assert query_candidates(ix, _sset(*post)).tolist() == want
 

@@ -5,7 +5,7 @@ from quotematch.textnorm import (
     DEFAULT_PREFIXES,
     DIACRITICS,
     LETTER_FOLD,
-    PrefixLexicon,
+    PhraseLexicon,
     normalize_arabic,
     shingle,
     strip_quote_prefix,
@@ -117,14 +117,14 @@ def test_strip_prefix_mid_text_not_removed():
 
 
 def test_default_lexicon_patterns_are_normalized():
-    for pattern in DEFAULT_PREFIXES.patterns:
+    for pattern in DEFAULT_PREFIXES.phrases:
         joined = " ".join(pattern)
         assert normalize_arabic(joined) == joined
 
 
 @given(st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=12))
 def test_strip_prefix_idempotent_prefix_free_lexicon(tokens):
-    lex = PrefixLexicon.from_patterns(["qq ww", "zz"])
+    lex = PhraseLexicon.from_phrases(["qq ww", "zz"])
     text = " ".join(tokens)
     once = strip_quote_prefix(text, lex)
     assert strip_quote_prefix(once, lex) == once
@@ -133,30 +133,26 @@ def test_strip_prefix_idempotent_prefix_free_lexicon(tokens):
 def test_prefix_lexicon_file_roundtrip(tmp_path):
     path = tmp_path / "prefixes.txt"
     path.write_text("قال فلان\n\nعن فلان قال\n", encoding="utf-8")
-    lex = PrefixLexicon.from_file(path)
+    lex = PhraseLexicon.from_file(path)
     assert len(lex) == 2
     assert strip_quote_prefix(normalize_arabic("قال فلان شيء"), lex) == "شيء"
 
 
 def test_prefix_lexicon_rejects_empty():
     with pytest.raises(ValueError):
-        PrefixLexicon.from_patterns([])
+        PhraseLexicon.from_phrases([])
 
 
 def test_shingle_unigrams():
-    assert shingle("a b c").shingles == frozenset({"a", "b", "c"})
+    assert shingle("a b c") == frozenset({"a", "b", "c"})
 
 
 def test_shingle_bigrams():
-    assert shingle("a b c", n=2).shingles == frozenset({"a b", "b c"})
-    assert shingle("a b c").source_token_count == 3
+    assert shingle("a b c", n=2) == frozenset({"a b", "b c"})
 
 
 def test_shingle_too_few_tokens():
-    s = shingle("a", n=2)
-    assert s.shingles == frozenset()
-    assert s.source_token_count == 1
-    assert not s
+    assert shingle("a", n=2) == frozenset()
 
 
 def test_shingle_invalid_n():
@@ -166,4 +162,4 @@ def test_shingle_invalid_n():
 
 @given(st.permutations(["aa", "bb", "cc", "dd"]))
 def test_unigram_shingles_order_insensitive(tokens):
-    assert shingle(" ".join(tokens)).shingles == shingle("aa bb cc dd").shingles
+    assert shingle(" ".join(tokens)) == shingle("aa bb cc dd")
