@@ -207,7 +207,7 @@ def cmd_features(args) -> None:
 
 def _load_xy(args) -> tuple:
     space = features_mod.load_space(_require(args.space))
-    vectors, _ = features_mod.load_vectors(_require(args.vectors), space)
+    vectors = features_mod.load_vectors(_require(args.vectors), space)
     labels = {
         stats.user_id: label for stats, label in behavior.read_stats_csv(_require(args.labeled))
     }

@@ -244,20 +244,16 @@ def save_vectors(
     ])
 
 
-def load_vectors(
-    path: str | Path, space: FeatureSpace | None = None
-) -> tuple[list[FeatureVector], str]:
-    """Load JSONL vectors; returns them plus the recorded space hash.
-
-    A line's ``columns`` must be strictly ascending non-negative integers.
-    Given ``space``, the vectors must be bound to its manifest hash
-    (:class:`VersionMismatchError` otherwise) and their columns must lie in it."""
+def load_vectors(path: str | Path, space: FeatureSpace) -> list[FeatureVector]:
+    """Load JSONL vectors bound to ``space``'s manifest hash
+    (:class:`VersionMismatchError` otherwise); a line's ``columns`` must be
+    strictly ascending non-negative integers below ``space.n_columns``."""
     records = read_jsonl(path)
     line_no, meta = next(records, (None, None))
     if line_no is None:
         raise ValueError(f"{path}: empty vectors file")
     check_record(path, line_no, meta, ("format_version", "space_hash"), 1)
-    if space is not None and meta["space_hash"] != space.manifest_hash:
+    if meta["space_hash"] != space.manifest_hash:
         raise VersionMismatchError(
             f"vectors {path} were encoded against a different feature space"
         )
@@ -274,10 +270,10 @@ def load_vectors(
             raise ValueError(
                 f"{path}: line {line_no}: columns must be ascending non-negative integers"
             )
-        if space is not None and columns and columns[-1] >= space.n_columns:
+        if columns and columns[-1] >= space.n_columns:
             raise ValueError(
                 f"{path}: line {line_no}: column {columns[-1]} is outside the "
                 f"{space.n_columns}-column feature space"
             )
         vectors.append(FeatureVector(user_id=obj["user_id"], columns=columns))
-    return vectors, meta["space_hash"]
+    return vectors

@@ -110,17 +110,21 @@ class PhraseLexicon:
     phrases: tuple[tuple[str, ...], ...]
 
     @classmethod
-    def from_phrases(cls, phrases: Iterable[str], where: str = "") -> "PhraseLexicon":
+    def from_phrases(cls, phrases: Iterable[str]) -> "PhraseLexicon":
         toks = {tuple(normalize_arabic(p).split()) for p in phrases}
         toks.discard(())
         if not toks:
-            raise ValueError(f"{where}lexicon is empty")
+            raise ValueError("lexicon is empty")
         return cls(tuple(sorted(toks, key=lambda t: (-len(t), t))))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PhraseLexicon":
         """One phrase per line; an empty lexicon raises ``ValueError`` naming the file."""
-        return cls.from_phrases(read_lines(path), f"{path}: ")
+        lines = read_lines(path)
+        try:
+            return cls.from_phrases(lines)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.phrases)

@@ -263,11 +263,10 @@ def test_vectors_jsonl_roundtrip(tmp_path):
     vectors = [
         FeatureVector("u", (0, 1)), FeatureVector("v", ()), FeatureVector("مستخدم\u2028", (2,))
     ]
+    space = _space([_tie("u", "a"), _tie("u", "b"), _tie("u", "c")])
     path = tmp_path / "vectors.jsonl"
-    save_vectors(vectors, path, space_hash="h123")
-    loaded, space_hash = load_vectors(path)
-    assert loaded == vectors
-    assert space_hash == "h123"
+    save_vectors(vectors, path, space.manifest_hash)
+    assert load_vectors(path, space) == vectors
     # Non-ASCII ids are written raw, as in matches.jsonl.
     assert '"user_id": "مستخدم\u2028"'.encode() in path.read_bytes()
 
@@ -281,7 +280,7 @@ def test_space_and_vectors_roundtrip_any_unicode_id(tmp_path_factory, pairs):
     save_space(space, out / "space.json")
     save_vectors(vectors, out / "vectors.jsonl", space.manifest_hash)
     assert load_space(out / "space.json") == space
-    assert load_vectors(out / "vectors.jsonl") == (vectors, space.manifest_hash)
+    assert load_vectors(out / "vectors.jsonl", space) == vectors
 
 
 def test_manifest_hash_changes_with_columns():
