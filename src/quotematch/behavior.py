@@ -27,7 +27,7 @@ from .matcher import (
     contains_refute_term,
     match_post,
 )
-from .textnorm import DEFAULT_PREFIXES, PhraseLexicon
+from .textnorm import PhraseLexicon
 
 logger = logging.getLogger(__name__)
 
@@ -128,7 +128,6 @@ def scan_timeline(
     threshold: float = 0.35,
     *,
     user_id: str | None = None,
-    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> tuple[UserStats, list[MatchResult]]:
     """Run every post through the matcher and aggregate one user's counts.
 
@@ -150,14 +149,7 @@ def scan_timeline(
     for p in posts:
         if not p.text.strip():
             continue
-        result = match_post(
-            p.text,
-            index,
-            refute_lexicon,
-            threshold,
-            post_id=p.id,
-            prefix_lexicon=prefix_lexicon,
-        )
+        result = match_post(p.text, index, refute_lexicon, threshold, post_id=p.id)
         if result is not None:
             results.append(result)
             match_by_post[p.id] = result
@@ -245,17 +237,17 @@ def build_labeled_dataset(
             raise ValueError(f"duplicate user_id in stats: {s.user_id!r}")
         seen.add(s.user_id)
 
-    circulators = [s for s in all_stats if label_user(s, thresholds) is BehaviorLabel.CIRCULATOR]
-    strict_debunkers = [
-        s for s in all_stats if label_user(s, thresholds) is BehaviorLabel.DEBUNKER
-    ]
+    by_label: dict[BehaviorLabel, list[UserStats]] = {label: [] for label in BehaviorLabel}
+    for s in all_stats:
+        by_label[label_user(s, thresholds)].append(s)
+    circulators = by_label[BehaviorLabel.CIRCULATOR]
+    strict_debunkers = by_label[BehaviorLabel.DEBUNKER]
     added: list[UserStats] = []
     if balance and len(strict_debunkers) < len(circulators):
         pool = [
             s
-            for s in all_stats
-            if s.fabricated == 0
-            and thresholds.min_refutes_balance <= s.refutes < thresholds.min_refutes_strict
+            for s in by_label[BehaviorLabel.NEITHER]
+            if label_user(s, thresholds, "balance") is BehaviorLabel.DEBUNKER
         ]
         pool.sort(key=lambda s: (-s.refutes, s.user_id))
         added = pool[: len(circulators) - len(strict_debunkers)]
@@ -355,8 +347,6 @@ def read_stats_csv(path: str | Path) -> list[tuple[UserStats, BehaviorLabel | No
         raise ValueError(f"{path}: unexpected stats CSV header {header}")
     out: list[tuple[UserStats, BehaviorLabel | None]] = []
     for line_no, parts in rows:
-        if not "".join(parts).strip():
-            continue
         try:
             if len(parts) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(parts)}")

@@ -5,8 +5,9 @@ Exit codes: 0 ok, 2 missing input file, 3 artifact version/hash mismatch,
 4 contract violation (bad data or parameters). Stage artifacts embed content
 hashes so a scan cannot silently run against the wrong index, nor a report
 against the wrong feature space. ``index`` compiles the corpus once; ``scan``
-reads that compiled index, checks it against the corpus file's hash and the
-prefix lexicon, scans with the index's shingle size, and parses no corpus.
+reads that compiled index, checks it against the corpus file's hash, strips
+quote introductions with the prefix lexicon the index records, scans with the
+index's shingle size, and parses no corpus.
 Every JSON, JSONL and CSV artifact is read and written through ``quotematch.artifacts``.
 """
 
@@ -108,22 +109,21 @@ def cmd_index(args) -> None:
 
 
 def cmd_scan(args) -> None:
+    if args.max_posts < 1:
+        raise ValueError(f"--max-posts must be >= 1, got {args.max_posts}")
+    if not 0.0 < args.threshold < 1.0:
+        raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
     corpus_path = _require(args.corpus)
     index_path = _require(args.index)
     timelines_dir = _require(args.timelines)
-    lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
-    index = matcher.load_index(
-        index_path,
-        corpus_hash=_sha256(corpus_path),
-        prefix_lexicon=lexicon,
-    )
+    index = matcher.load_index(index_path, corpus_hash=_sha256(corpus_path))
     refutes = _lexicon(args.refutes, matcher.DEFAULT_REFUTES)
 
     files = sorted(Path(timelines_dir).glob("*.jsonl"))
     scanned = [
         behavior.scan_timeline(
             behavior.read_timeline(path)[: args.max_posts], index, refutes, args.threshold,
-            user_id=path.stem, prefix_lexicon=lexicon,
+            user_id=path.stem,
         )
         for path in files
     ]
@@ -395,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--threshold", type=float, default=0.35)
     scan_p.add_argument("--max-posts", type=int, default=3200)
     scan_p.add_argument("--refutes", help="refute lexicon file, one phrase per line")
-    scan_p.add_argument("--prefixes")
     scan_p.set_defaults(func=cmd_scan)
 
     label_p = sub.add_parser("label", help="label users and balance the dataset")

@@ -246,8 +246,9 @@ def save_vectors(
 
 def load_vectors(path: str | Path, space: FeatureSpace) -> list[FeatureVector]:
     """Load JSONL vectors bound to ``space``'s manifest hash
-    (:class:`VersionMismatchError` otherwise); a line's ``columns`` must be
-    strictly ascending non-negative integers below ``space.n_columns``."""
+    (:class:`VersionMismatchError` otherwise); a line's ``user_id`` must be a
+    string no earlier line holds, and its ``columns`` strictly ascending
+    non-negative integers below ``space.n_columns``."""
     records = read_jsonl(path)
     line_no, meta = next(records, (None, None))
     if line_no is None:
@@ -258,8 +259,15 @@ def load_vectors(path: str | Path, space: FeatureSpace) -> list[FeatureVector]:
             f"vectors {path} were encoded against a different feature space"
         )
     vectors = []
+    seen: set[str] = set()
     for line_no, obj in records:
         check_record(path, line_no, obj, ("user_id", "columns"))
+        user_id = obj["user_id"]
+        if not isinstance(user_id, str):
+            raise ValueError(f"{path}: line {line_no}: user_id must be a string, got {user_id!r}")
+        if user_id in seen:
+            raise ValueError(f"{path}: line {line_no}: repeated user_id {user_id!r}")
+        seen.add(user_id)
         try:
             columns = tuple(obj["columns"])
         except TypeError as exc:
@@ -275,5 +283,5 @@ def load_vectors(path: str | Path, space: FeatureSpace) -> list[FeatureVector]:
                 f"{path}: line {line_no}: column {columns[-1]} is outside the "
                 f"{space.n_columns}-column feature space"
             )
-        vectors.append(FeatureVector(user_id=obj["user_id"], columns=columns))
+        vectors.append(FeatureVector(user_id=user_id, columns=columns))
     return vectors

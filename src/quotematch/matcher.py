@@ -15,8 +15,8 @@ of the corpus is scored for every post.
 Shingle sets are plain ``frozenset``s from :func:`textnorm.shingle`. The 14
 refuting phrases are a :class:`textnorm.PhraseLexicon` (``DEFAULT_REFUTES``),
 found as consecutive tokens of the whole normalized post before its quote
-introduction is stripped with the prefix lexicon (``DEFAULT_PREFIXES`` unless
-one is given). The index binds the prefix lexicon by :func:`_prefix_hash`.
+introduction is stripped with the prefix lexicon that the index was built with
+and carries in its header (``DEFAULT_PREFIXES`` unless one was given).
 
 The MinHash estimator (:func:`minhash_signature`, :func:`estimate_jaccard`)
 stands alone: neither the index nor the scan uses it.
@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from hashlib import blake2b, sha256
+from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,8 @@ _MAX64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SENTINEL = _MAX64
 _CLAMP = np.uint64(0xFFFFFFFFFFFFFFFE)
 
-INDEX_MAGIC = b"QMIDX002"
-_V1_MAGIC = b"QMIDX001"
-INDEX_FORMAT_VERSION = 2
+INDEX_MAGIC = b"QMIDX003"
+INDEX_FORMAT_VERSION = 3
 
 
 class MatcherError(ValueError):
@@ -153,18 +152,9 @@ DEFAULT_REFUTE_PHRASES = (
 DEFAULT_REFUTES = PhraseLexicon.from_phrases(DEFAULT_REFUTE_PHRASES)
 
 
-def _contains_phrase(tokens: list[str], lexicon: PhraseLexicon) -> bool:
-    for phrase in lexicon.phrases:
-        k = len(phrase)
-        for i in range(len(tokens) - k + 1):
-            if tuple(tokens[i : i + k]) == phrase:
-                return True
-    return False
-
-
 def contains_refute_term(post_text: str, lexicon: PhraseLexicon = DEFAULT_REFUTES) -> bool:
     """True iff a refuting phrase occurs as consecutive tokens of the post."""
-    return _contains_phrase(normalize_arabic(post_text).split(), lexicon)
+    return lexicon.occurs_in(normalize_arabic(post_text).split())
 
 
 class MatchKind(Enum):
@@ -182,11 +172,6 @@ class MatchResult:
     kind: MatchKind
 
 
-def _prefix_hash(lexicon: PhraseLexicon) -> str:
-    """Content hash of the prefix lexicon that stripping uses."""
-    return sha256(json.dumps(lexicon.phrases, ensure_ascii=False).encode("utf-8")).hexdigest()
-
-
 @dataclass(eq=False)
 class CompiledIndex:
     """A reference corpus compiled for exact matching; immutable after build.
@@ -194,8 +179,9 @@ class CompiledIndex:
     Rows are quotes in string order of their ids, so the first maximum over
     rows is at the lowest quote id. Row ``r``'s shingles are
     ``vocabulary[c]`` for ``c`` in ``columns[indptr[r]:indptr[r + 1]]``,
-    ascending. ``corpus_hash``, ``prefix_hash`` and ``shingle_n`` record what
-    the index was built from.
+    ascending. ``corpus_hash``, ``prefixes`` and ``shingle_n`` record what
+    the index was built from; a scan strips quote introductions with
+    ``prefixes`` and shingles with ``shingle_n``.
     """
 
     quote_ids: tuple[str, ...]
@@ -204,7 +190,7 @@ class CompiledIndex:
     indptr: np.ndarray  # (n_quotes + 1,) int64
     columns: np.ndarray  # (nnz,) int32
     shingle_n: int
-    prefix_hash: str
+    prefixes: PhraseLexicon
     corpus_hash: str | None = None
 
     def __len__(self) -> int:
@@ -269,7 +255,7 @@ def build_index(
         indptr=indptr,
         columns=columns,
         shingle_n=shingle_n,
-        prefix_hash=_prefix_hash(prefix_lexicon),
+        prefixes=prefix_lexicon,
         corpus_hash=corpus_hash,
     )
 
@@ -297,20 +283,20 @@ def match_post(
     threshold: float = 0.35,
     *,
     post_id: str = "",
-    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
 ) -> MatchResult | None:
     """Match one post against the compiled corpus.
 
     Pipeline: normalize -> scan for refute terms (on the full normalized text,
-    before any stripping) -> strip quote prefix -> shingle -> count shared
-    shingles per quote -> keep the most similar quote if its Jaccard strictly
-    exceeds the threshold. Ties break toward the lowest quote id.
+    before any stripping) -> strip a quote introduction of the index's prefix
+    lexicon -> shingle -> count shared shingles per quote -> keep the most
+    similar quote if its Jaccard strictly exceeds the threshold. Ties break
+    toward the lowest quote id.
     """
     if not 0.0 < threshold < 1.0:
         raise MatcherError(f"threshold must be in (0, 1), got {threshold}")
     normalized = normalize_arabic(post_text)
-    refuted = _contains_phrase(normalized.split(), refute_lexicon)
-    stripped = strip_quote_prefix(normalized, prefix_lexicon)
+    refuted = refute_lexicon.occurs_in(normalized.split())
+    stripped = strip_quote_prefix(normalized, index.prefixes)
     shingles = shingle(stripped, index.shingle_n)
     if not shingles:
         return None
@@ -347,7 +333,7 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
     header = {
         "format_version": INDEX_FORMAT_VERSION,
         "corpus_hash": index.corpus_hash,
-        "prefix_hash": index.prefix_hash,
+        "prefixes": [list(phrase) for phrase in index.prefixes.phrases],
         "shingle_n": index.shingle_n,
         "quote_ids": list(index.quote_ids),
         "authenticity": [a.value for a in index.authenticity],
@@ -363,27 +349,24 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(index.columns, dtype="<i4").tobytes())
 
 
-def load_index(
-    path: str | Path,
-    *,
-    corpus_hash: str | None = None,
-    prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
-) -> CompiledIndex:
-    """Load a compiled index and check it against what the caller will scan with.
+def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledIndex:
+    """Load a compiled index, checked against the corpus hash when one is given.
 
     Raises :class:`VersionMismatchError` for another format or magic, or when
-    the corpus hash (if given) or the prefix lexicon differ from the header;
-    :class:`MatcherError` for a truncated or malformed file. Scanning uses the
-    index's ``shingle_n``.
+    the corpus hash differs from the header's; :class:`MatcherError` for a
+    truncated or malformed file, a malformed or empty prefix lexicon included.
+    The loaded index carries the ``shingle_n`` and the prefix lexicon it was
+    built with, so a scan uses both.
     """
     data = Path(path).read_bytes()
     magic = data[: len(INDEX_MAGIC)]
     if magic != INDEX_MAGIC:
         if len(data) < len(INDEX_MAGIC) and INDEX_MAGIC.startswith(data):
             raise MatcherError(f"{path}: truncated index file ({len(data)} bytes)")
-        if magic == _V1_MAGIC:
+        if magic[:5] == INDEX_MAGIC[:5] and magic[5:].isdigit():
             raise VersionMismatchError(
-                f"{path}: format version 1 index (MinHash/LSH); rebuild it with `quotematch index`"
+                f"{path}: format version {int(magic[5:])} index, expected "
+                f"{INDEX_FORMAT_VERSION}; rebuild it with `quotematch index`"
             )
         raise VersionMismatchError(f"{path}: not a quotematch index file")
     offset = len(INDEX_MAGIC) + 4
@@ -400,8 +383,10 @@ def load_index(
             raise ValueError(f"bad entry count {nnz!r}")
         vocabulary = tuple(header["vocabulary"])
         authenticity = tuple(AuthenticityLevel(a) for a in header["authenticity"])
-        built_n, built_prefix = header["shingle_n"], header["prefix_hash"]
-        built_corpus = header["corpus_hash"]
+        built_n, built_corpus = header["shingle_n"], header["corpus_hash"]
+        prefixes = PhraseLexicon.from_phrases(map(" ".join, header["prefixes"]))
+        if [list(phrase) for phrase in prefixes.phrases] != header["prefixes"]:
+            raise ValueError("prefixes are not a normalized lexicon")
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MatcherError(f"{path}: truncated or malformed index header: {exc}") from None
     offset += blob_len
@@ -426,8 +411,6 @@ def load_index(
 
     if corpus_hash is not None and built_corpus != corpus_hash:
         raise VersionMismatchError(f"index {path} was built from a different corpus file")
-    if built_prefix != _prefix_hash(prefix_lexicon):
-        raise VersionMismatchError(f"index {path} was built with a different prefix lexicon")
     return CompiledIndex(
         quote_ids=tuple(header["quote_ids"]),
         authenticity=authenticity,
@@ -435,6 +418,6 @@ def load_index(
         indptr=indptr,
         columns=columns,
         shingle_n=built_n,
-        prefix_hash=built_prefix,
+        prefixes=prefixes,
         corpus_hash=built_corpus,
     )

@@ -6,10 +6,12 @@ produced by :func:`normalize_arabic`. The rules are deterministic, idempotent,
 and never grow the input: each one either deletes a character or maps it to a
 single replacement, so ``len(normalize_arabic(s)) <= len(s)`` always holds.
 
-A :class:`PhraseLexicon` holds normalized phrases: the quote introductions
-that :func:`strip_quote_prefix` removes (``DEFAULT_PREFIXES``) and the refuting
-phrases the matcher looks for (``matcher.DEFAULT_REFUTES``). A shingle set is a
-plain ``frozenset`` of token n-grams.
+A :class:`PhraseLexicon` holds normalized phrases and is the one phrase
+matcher: :meth:`~PhraseLexicon.leading` finds the quote introduction that
+:func:`strip_quote_prefix` removes (``DEFAULT_PREFIXES``), and
+:meth:`~PhraseLexicon.occurs_in` finds the refuting phrases the matcher looks
+for (``matcher.DEFAULT_REFUTES``). A shingle set is a plain ``frozenset`` of
+token n-grams.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TypeAlias
+from typing import Iterable, Sequence, TypeAlias
 
 from .artifacts import read_lines
 
@@ -129,6 +131,22 @@ class PhraseLexicon:
     def __len__(self) -> int:
         return len(self.phrases)
 
+    def leading(self, tokens: Sequence[str]) -> int:
+        """Length of the longest phrase that ``tokens`` start with; 0 if none."""
+        for phrase in self.phrases:
+            if tuple(tokens[: len(phrase)]) == phrase:
+                return len(phrase)
+        return 0
+
+    def occurs_in(self, tokens: Sequence[str]) -> bool:
+        """True iff some phrase occurs as consecutive tokens."""
+        for phrase in self.phrases:
+            k = len(phrase)
+            for i in range(len(tokens) - k + 1):
+                if tuple(tokens[i : i + k]) == phrase:
+                    return True
+        return False
+
 
 DEFAULT_PREFIXES = PhraseLexicon.from_phrases(DEFAULT_PREFIX_PATTERNS)
 
@@ -143,11 +161,8 @@ def strip_quote_prefix(
     the start of the token sequence. Non-matching text is returned unchanged.
     """
     tokens = text.split()
-    for pattern in lexicon.phrases:
-        k = len(pattern)
-        if len(tokens) >= k and tuple(tokens[:k]) == pattern:
-            return " ".join(tokens[k:])
-    return text
+    k = lexicon.leading(tokens)
+    return " ".join(tokens[k:]) if k else text
 
 
 def shingle(text: NormalizedText, n: int = 1) -> frozenset[str]:

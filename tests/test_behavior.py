@@ -235,6 +235,24 @@ def test_build_dataset_pool_exhaustion_reported():
     assert not report.balanced
 
 
+def test_build_dataset_balance_pool_under_custom_thresholds():
+    # Strict debunkers refute at least 4 times. The pool is the users with no
+    # fabricated share and 2 or 3 refutes, taken by refutes descending.
+    thresholds = LabelThresholds(min_refutes_strict=4, min_refutes_balance=2)
+    grid = [
+        _stats(fabricated, 10, refutes, user_id=f"g{fabricated}{refutes}")
+        for fabricated in (0, 1)
+        for refutes in range(6)
+    ]
+    for n_circulators, added in ((2, []), (3, ["g03"]), (4, ["g03", "g02"]), (5, ["g03", "g02"])):
+        circulators = [_stats(3, 10, 0, user_id=f"c{i}") for i in range(n_circulators)]
+        labeled, report = build_labeled_dataset(grid + circulators, thresholds)
+        debunkers = [s.user_id for s, label in labeled if label is BehaviorLabel.DEBUNKER]
+        assert debunkers == sorted(["g04", "g05"] + added)
+        assert report.n_circulators == n_circulators
+        assert (report.n_strict_debunkers, report.n_balance_added) == (2, len(added))
+
+
 def test_build_dataset_empty():
     labeled, report = build_labeled_dataset([_stats(0, 1, 0, user_id="u")])
     assert labeled == []

@@ -15,10 +15,11 @@ from quotematch.artifacts import read_jsonl, write_csv
 from quotematch.cli import main
 from quotematch.corpus import TSV_HEADER
 from quotematch.features import FeatureSpace, TieKind, save_space
-from quotematch.matcher import INDEX_MAGIC
+from quotematch.matcher import INDEX_MAGIC, load_index
 from quotematch.model import (
     LogitHyperparams, LogitModel, categorize_report, save_model, top_coefficients,
 )
+from quotematch.textnorm import PhraseLexicon
 
 # Any code point except lone surrogates, which UTF-8 cannot encode.
 ANY_ID = st.text(st.characters(exclude_categories=("Cs",)), max_size=10)
@@ -198,11 +199,35 @@ def test_scan_truncated_index_exit_4(tmp_path, capsys):
     assert "i.bin: truncated index file" in capsys.readouterr().err
 
 
-def test_scan_prefix_lexicon_mismatch_exit_3(tmp_path, capsys):
-    (tmp_path / "prefixes.txt").write_text("قال الامام\n", encoding="utf-8")
-    scan = _index_and_scan(tmp_path, scan_args=("--prefixes", str(tmp_path / "prefixes.txt")))
-    assert scan() == 3
-    assert "different prefix lexicon" in capsys.readouterr().err
+def test_scan_strips_the_prefix_lexicon_the_index_was_built_with(tmp_path):
+    prefixes = tmp_path / "prefixes.txt"
+    prefixes.write_text("قال الامام\nروي عن الامام\n", encoding="utf-8")
+    scan = _index_and_scan(tmp_path, index_args=("--prefixes", str(prefixes), "--shingle-n", "2"))
+    index = load_index(tmp_path / "i.bin")
+    assert index.prefixes == PhraseLexicon.from_file(prefixes) and index.shingle_n == 2
+    (tmp_path / "timelines" / "u.jsonl").write_text("".join(
+        json.dumps({"id": pid, "user_id": "u", "text": text}, ensure_ascii=False) + "\n"
+        for pid, text in (("p1", "قال الامام نص اول للفهرس"), ("p2", "قال رسول الله نص اول للفهرس"))
+    ), encoding="utf-8")
+    assert scan() == 0
+    # p1 loses the index's prefix; p2 keeps the default one: 2 of 5 bigrams.
+    similarity = {m["post_id"]: m["similarity"] for _, m in read_jsonl(tmp_path / "m.jsonl")}
+    assert similarity == {"p1": 1.0, "p2": 0.4}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-posts", "-11"), ("--max-posts", "0"), ("--threshold", "7"),
+     ("--threshold", "0"), ("--threshold", "1"), ("--threshold", "nan")],
+    ids=["max-posts-negative", "max-posts-zero", "threshold-above-1", "threshold-0",
+         "threshold-1", "threshold-nan"],
+)
+def test_scan_bad_numeric_flag_exit_4(tmp_path, capsys, flags):
+    scan = _index_and_scan(tmp_path, scan_args=flags)
+    capsys.readouterr()
+    assert scan() == 4
+    assert re.search(rf"error: {flags[0]} must be", capsys.readouterr().err)
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_scan_index_header_without_corpus_hash_exit_4(tmp_path, capsys):
@@ -525,6 +550,13 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
         (_TRAIN, _replace_text("labeled.csv", lambda text: re.sub(
             r"\n(.*),[^,\n]*\n", r"\n\1\n", text, count=1)), 4,
          r"labeled\.csv: line 2: expected 6 fields, got 5"),
+        (_TRAIN, _replace_text("labeled.csv", lambda text: text.replace("\n", "\n,,,,,\n", 1)),
+         4, r"labeled\.csv: line 2: invalid literal for int"),
+        (_TRAIN, _edit_vectors(2, user_id=5), 4,
+         r"vectors\.jsonl: line 2: user_id must be a string, got 5"),
+        (_TRAIN, _replace_text("vectors.jsonl", lambda text: re.sub(
+            r"\n(.*\n)", r"\n\1\1", text, count=1)), 4,
+         r"vectors\.jsonl: line 3: repeated user_id"),
     ],
     ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
          "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
@@ -532,7 +564,8 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          "model-empty-space-hash", "space-empty-manifest-hash", "category-map-three-fields",
          "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
          "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",
-         "stats-extra-field", "stats-missing-field"],
+         "stats-extra-field", "stats-missing-field", "stats-empty-fields", "vectors-user-id-int",
+         "vectors-user-id-repeated"],
 )
 def test_bad_artifact_exit_code_names_file(
     pipeline_dir, tmp_path, capsys, argv, edit, code, message

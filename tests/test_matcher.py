@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from quotematch.matcher import (
     MatcherError,
     MatchKind,
     MinHashParams,
-    _prefix_hash,
     build_index,
     contains_refute_term,
     estimate_jaccard,
@@ -24,7 +24,7 @@ from quotematch.matcher import (
     query_candidates,
     save_index,
 )
-from quotematch.textnorm import DEFAULT_PREFIXES, PhraseLexicon, shingle
+from quotematch.textnorm import PhraseLexicon, shingle
 
 PARAMS = MinHashParams(seed=123)
 
@@ -315,20 +315,29 @@ def test_index_load_rejects_wrong_corpus(tmp_path):
         load_index(path, corpus_hash="other")
 
 
-def test_index_load_rejects_other_prefixes(tmp_path):
-    _, path = _saved(tmp_path, shingle_n=2)
-    other = PhraseLexicon.from_phrases(["قال"])
-    with pytest.raises(VersionMismatchError, match="prefix lexicon"):
-        load_index(path, prefix_lexicon=other)
-    assert load_index(path).shingle_n == 2
+def test_index_load_rejects_version_2(tmp_path):
+    _, path = _saved(tmp_path)
+    path.write_bytes(b"QMIDX002" + path.read_bytes()[len(INDEX_MAGIC) :])
+    with pytest.raises(VersionMismatchError, match=r"index\.bin: format version 2 index, expected"):
+        load_index(path)
 
 
-def test_default_prefix_hash_is_pinned():
-    # Every index.bin header records this hash; a lexicon change that reorders
-    # the default patterns would invalidate every built index.
-    assert _prefix_hash(DEFAULT_PREFIXES) == (
-        "2718dbfc498ef0f4a3aafedb151d88d02000fa797c0864832f1f305d643c23f7"
-    )
+@pytest.mark.parametrize(
+    "prefixes",
+    [[], [[]], "قال", [["قال", 5]], [["قال"], ["قال", "النبي"]], [["قالَ"]], [["قال النبي"]]],
+    ids=["empty", "empty-phrase", "string", "non-string-token", "shortest-first",
+         "not-normalized", "space-in-token"],
+)
+def test_index_load_rejects_malformed_prefixes(tmp_path, prefixes):
+    _, path = _saved(tmp_path)
+    data = path.read_bytes()
+    start = len(INDEX_MAGIC) + 4
+    end = start + int.from_bytes(data[len(INDEX_MAGIC) : start], "little")
+    header = json.loads(data[start:end]) | {"prefixes": prefixes}
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(INDEX_MAGIC + len(blob).to_bytes(4, "little") + blob + data[end:])
+    with pytest.raises(MatcherError, match=r"index\.bin: truncated or malformed index header"):
+        load_index(path)
 
 
 def test_index_load_rejects_unsorted_or_repeated_row_columns(tmp_path):

@@ -130,6 +130,22 @@ def test_strip_prefix_idempotent_prefix_free_lexicon(tokens):
     assert strip_quote_prefix(once, lex) == once
 
 
+NESTED = ("a", "a b", "a b c", "b c")
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=8))
+def test_phrase_lexicon_matching_equals_restatement(tokens):
+    lex = PhraseLexicon.from_phrases(NESTED)
+    phrases = [tuple(p.split()) for p in NESTED]
+    longest_first = sorted(phrases, key=len, reverse=True)
+    leading = next((len(p) for p in longest_first if tuple(tokens[: len(p)]) == p), 0)
+    n = len(tokens)
+    windows = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
+    assert lex.leading(tokens) == leading
+    assert lex.occurs_in(tokens) == any(p in windows for p in phrases)
+    assert strip_quote_prefix(" ".join(tokens), lex) == " ".join(tokens[leading:])
+
+
 def test_prefix_lexicon_file_roundtrip(tmp_path):
     path = tmp_path / "prefixes.txt"
     path.write_text("قال فلان\n\nعن فلان قال\n", encoding="utf-8")
