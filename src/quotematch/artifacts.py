@@ -37,7 +37,8 @@ def check_record(
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    # No indent: json.dumps with one leaves its C encoder for the Python one.
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

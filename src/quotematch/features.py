@@ -18,15 +18,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import (
     VersionMismatchError, check_record, read_csv, read_json, read_jsonl, write_csv, write_json,
     write_jsonl,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class TieKind(Enum):
@@ -175,6 +177,8 @@ def kind_counts(ties: TieTable) -> dict[str, tuple[int, ...]]:
 
 def to_csr(vectors: Sequence[FeatureVector], n_columns: int) -> sparse.csr_matrix:
     """Stack binary vectors into a CSR matrix with one row per vector."""
+    from scipy import sparse  # local for the reason in model.loss_and_grad
+
     indptr = [0]
     indices: list[int] = []
     for v in vectors:

@@ -354,7 +354,8 @@ def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledI
 
     Raises :class:`VersionMismatchError` for another format or magic, or when
     the corpus hash differs from the header's; :class:`MatcherError` for a
-    truncated or malformed file, a malformed or empty prefix lexicon included.
+    truncated or malformed file, a malformed or empty prefix lexicon or a
+    ``shingle_n`` that is not an integer >= 1 included.
     The loaded index carries the ``shingle_n`` and the prefix lexicon it was
     built with, so a scan uses both.
     """
@@ -384,6 +385,8 @@ def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledI
         vocabulary = tuple(header["vocabulary"])
         authenticity = tuple(AuthenticityLevel(a) for a in header["authenticity"])
         built_n, built_corpus = header["shingle_n"], header["corpus_hash"]
+        if type(built_n) is not int or built_n < 1:
+            raise ValueError(f"bad shingle size {built_n!r}")
         prefixes = PhraseLexicon.from_phrases(map(" ".join, header["prefixes"]))
         if [list(phrase) for phrase in prefixes.phrases] != header["prefixes"]:
             raise ValueError("prefixes are not a normalized lexicon")

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc, expit
 
 from .artifacts import read_json, write_json
 from .features import FeatureSpace, TieKind
@@ -63,6 +62,9 @@ def loss_and_grad(
     weights: np.ndarray, bias: float, X, y: np.ndarray, l2_strength: float
 ) -> tuple[float, np.ndarray, float]:
     """Loss plus its analytic gradient in (weights, bias)."""
+    # Local scipy imports: of the CLI stages only `train` needs it (~0.2 s to import).
+    from scipy.special import expit
+
     n = X.shape[0]
     m = _margins(weights, bias, X, y)
     loss = float(
@@ -81,6 +83,8 @@ def hessian_product(
 
     ``D = sigmoid(m)(1 - sigmoid(m))`` at the margins ``m`` and ``u = D (X v_w + v_b) / N``
     give ``(X^T u + (l2/N) v_w, sum(u))``; the bias is unregularized."""
+    from scipy.special import expit
+
     n = X.shape[0]
     p = expit(_margins(weights, bias, X, y))
     u = p * (1.0 - p) * (np.asarray(X @ v[:-1]).ravel() + v[-1]) / n
@@ -89,8 +93,6 @@ def hessian_product(
 
 def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> LogitModel:
     """Fit the classifier on labels in {+1, -1}; deterministic given the data."""
-    # Not a module-level import: the package imports every module, so that
-    # would add ~0.2 s to every CLI stage.
     from scipy.optimize import minimize
 
     y = np.asarray(y, dtype=np.float64)
@@ -151,6 +153,8 @@ def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> Lo
 
 def predict_labels(model: LogitModel, X) -> np.ndarray:
     """Labels in {+1, -1}: +1 where the positive class's sigmoid probability is >= 0.5."""
+    from scipy.special import expit
+
     if X.shape[1] != model.n_columns:
         raise ValueError(f"X has {X.shape[1]} columns, model expects {model.n_columns}")
     scores = expit(np.asarray(X @ model.weights).ravel() + model.bias)
@@ -337,6 +341,8 @@ class WelchResult:
 
 def welch_t_test(a, b) -> WelchResult:
     """Two-sided Welch's t-test (unequal variances, Welch-Satterthwaite df)."""
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:

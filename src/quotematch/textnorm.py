@@ -5,6 +5,9 @@ Every similarity operation downstream compares texts in the normal form
 produced by :func:`normalize_arabic`. The rules are deterministic, idempotent,
 and never grow the input: each one either deletes a character or maps it to a
 single replacement, so ``len(normalize_arabic(s)) <= len(s)`` always holds.
+They are implemented once, as the ``str.translate`` table ``_NormalTable``,
+which applies them to each code point on its first lookup and remembers the
+result, so normalizing is one C-level pass over the text.
 
 A :class:`PhraseLexicon` holds normalized phrases and is the one phrase
 matcher: :meth:`~PhraseLexicon.leading` finds the quote introduction that
@@ -55,6 +58,33 @@ _MENTION = re.compile(r"@[A-Za-z0-9_]+")
 _KEPT_CONTROLS = "\t\n\r\x0b\x0c"  # become spaces; other C-category chars are dropped
 
 
+class _NormalTable(dict):
+    """``str.translate`` table of the per-character rules: each code point's
+    replacement is worked out on its first lookup and kept."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if ch in DIACRITICS:
+            out = ""
+        else:
+            ch = LETTER_FOLD.get(ch, ch)
+            major = unicodedata.category(ch)[0]
+            if major in ("P", "S", "Z"):
+                # punctuation (incl. '#', '_'), symbols (incl. emoji), separators
+                out = " "
+            elif major == "C":
+                # kept controls become spaces; zero-width joiners, BOM,
+                # surrogates, etc. are dropped
+                out = " " if ch in _KEPT_CONTROLS else ""
+            else:
+                out = ch
+        self[code] = out
+        return out
+
+
+_NORMAL_TABLE = _NormalTable()
+
+
 def normalize_arabic(raw: str) -> NormalizedText:
     """Normalize arbitrary Unicode text into the comparison form.
 
@@ -63,24 +93,8 @@ def normalize_arabic(raw: str) -> NormalizedText:
     """
     if not raw:
         return ""
-    text = _URL.sub(" ", raw)
-    text = _MENTION.sub(" ", text)
-    out: list[str] = []
-    for ch in text:
-        if ch in DIACRITICS:
-            continue
-        ch = LETTER_FOLD.get(ch, ch)
-        major = unicodedata.category(ch)[0]
-        if major in ("P", "S", "Z"):
-            # punctuation (incl. '#', '_'), symbols (incl. emoji), separators
-            out.append(" ")
-        elif major == "C":
-            if ch in _KEPT_CONTROLS:
-                out.append(" ")
-            # zero-width joiners, BOM, surrogates, etc.: dropped
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
+    text = _MENTION.sub(" ", _URL.sub(" ", raw))
+    return " ".join(text.translate(_NORMAL_TABLE).split())
 
 
 # Quote-introduction phrases commonly prepended to a canonical quote. They are

@@ -230,18 +230,30 @@ def test_scan_bad_numeric_flag_exit_4(tmp_path, capsys, flags):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_scan_index_header_without_corpus_hash_exit_4(tmp_path, capsys):
-    scan = _index_and_scan(tmp_path)
-    data = (tmp_path / "i.bin").read_bytes()
+def _rewrite_index_header(path: Path, edit) -> None:
+    data = path.read_bytes()
     start = len(INDEX_MAGIC) + 4
     end = start + int.from_bytes(data[len(INDEX_MAGIC) : start], "little")
     header = json.loads(data[start:end])
-    del header["corpus_hash"]
+    edit(header)
     blob = json.dumps(header).encode("utf-8")
-    (tmp_path / "i.bin").write_bytes(INDEX_MAGIC + len(blob).to_bytes(4, "little") + blob
-                                     + data[end:])
+    path.write_bytes(INDEX_MAGIC + len(blob).to_bytes(4, "little") + blob + data[end:])
+
+
+def test_scan_index_header_without_corpus_hash_exit_4(tmp_path, capsys):
+    scan = _index_and_scan(tmp_path)
+    _rewrite_index_header(tmp_path / "i.bin", lambda header: header.pop("corpus_hash"))
     assert scan() == 4
     assert "i.bin: truncated or malformed index header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shingle_n", [0, True], ids=["zero", "true"])
+def test_scan_index_header_bad_shingle_n_exit_4(tmp_path, capsys, shingle_n):
+    scan = _index_and_scan(tmp_path)  # over an empty timelines directory: no post is read
+    _rewrite_index_header(tmp_path / "i.bin", lambda header: header.update(shingle_n=shingle_n))
+    assert scan() == 4
+    err = capsys.readouterr().err
+    assert f"i.bin: truncated or malformed index header: bad shingle size {shingle_n}" in err
 
 
 def test_report_model_without_keys_exit_4(tmp_path, capsys):
@@ -254,19 +266,30 @@ def test_report_model_without_keys_exit_4(tmp_path, capsys):
     assert "model.json: missing key 'weights'" in capsys.readouterr().err
 
 
-_HASH_SEED_RUN = """
-import sys
+# Runs corpus build, index, scan and label in a fresh process, with the stages'
+# own output redirected, then checks that none of them imported scipy.
+_STAGES_RUN = """
+import contextlib, io, sys
 from quotematch.cli import main
 fx, out = sys.argv[1], sys.argv[2]
-for argv in (
-    ["corpus", "build", "--input", fx + "/corpus.tsv", "--out", out + "/corpus.tsv"],
-    ["index", "--corpus", out + "/corpus.tsv", "--out", out + "/index.bin"],
-    ["scan", "--index", out + "/index.bin", "--corpus", out + "/corpus.tsv",
-     "--timelines", fx + "/timelines", "--out-stats", out + "/stats.csv",
-     "--out-matches", out + "/matches.jsonl"],
-):
-    assert main(argv) == 0, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["corpus", "build", "--input", fx + "/corpus.tsv", "--out", out + "/corpus.tsv"],
+        ["index", "--corpus", out + "/corpus.tsv", "--out", out + "/index.bin"],
+        ["scan", "--index", out + "/index.bin", "--corpus", out + "/corpus.tsv",
+         "--timelines", fx + "/timelines", "--out-stats", out + "/stats.csv",
+         "--out-matches", out + "/matches.jsonl"],
+        ["label", "--stats", out + "/stats.csv", "--out", out + "/labeled.csv"],
+    ):
+        assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a stage before train imported scipy"
 """
+
+
+def _run_stages(fx: Path, out: Path, **env) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", _STAGES_RUN, str(fx), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_index_and_scan_identical_across_hash_seeds(tmp_path):
@@ -277,14 +300,22 @@ def test_index_and_scan_identical_across_hash_seeds(tmp_path):
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hash-seed-{hash_seed}"
         out.mkdir()
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run([sys.executable, "-c", _HASH_SEED_RUN, str(fx), str(out)],
-                       env=env, check=True, timeout=300)
+        proc = _run_stages(fx, out, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
         outputs.append({name: (out / name).read_bytes()
                         for name in ("index.bin", "stats.csv", "matches.jsonl")})
     assert outputs[0] == outputs[1]
     assert outputs[0]["matches.jsonl"]
+
+
+def test_stages_before_train_do_not_import_scipy(tmp_path):
+    fx = tmp_path / "fx"
+    assert main(["synth", "--out-dir", str(fx), "--n-per-class", "4",
+                 "--timeline-len", "6", "--seed", "2"]) == 0
+    proc = _run_stages(fx, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # The stages' output went to the redirect, so import and exit printed nothing.
+    assert proc.stdout == ""
 
 
 def test_scan_empty_timelines_dir(tmp_path):

@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+import unicodedata
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quotematch.textnorm import (
     DEFAULT_PREFIXES,
@@ -71,6 +78,80 @@ def test_normalize_never_grows_and_is_clean(raw):
     assert not set(out) & DIACRITICS
     assert "  " not in out
     assert out == out.strip()
+
+
+def _normalize_restated(raw):
+    """The normalization rules one character at a time, as first written."""
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", raw, flags=re.IGNORECASE)
+    text = re.sub(r"@[A-Za-z0-9_]+", " ", text)
+    out = []
+    for ch in text:
+        if ch in DIACRITICS:
+            continue
+        ch = LETTER_FOLD.get(ch, ch)
+        major = unicodedata.category(ch)[0]
+        if major in ("P", "S", "Z"):
+            out.append(" ")
+        elif major == "C":
+            if ch in "\t\n\r\x0b\x0c":
+                out.append(" ")
+        else:
+            out.append(ch)
+    return " ".join("".join(out).split())
+
+
+_ASCII_WORD = st.text(alphabet="abcXYZ019_./-", max_size=8)
+_NORMALIZER_PIECE = st.one_of(
+    st.characters(min_codepoint=0x0600, max_codepoint=0x06FF),
+    st.sampled_from(sorted(DIACRITICS) + sorted(LETTER_FOLD) + sorted(LETTER_FOLD.values())),
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    st.sampled_from("\x00\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x7f\x85\xa0\u200b\u200d\u2028"
+                    "\u2029\u3000\ufeff"),
+    st.characters(categories=("Zs", "Zl", "Zp", "Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po",
+                              "Sm", "Sc", "Sk", "So")),
+    st.sampled_from(["😀", "🔥", "👍🏽", "👨\u200d👩", "🇸🇦"]),
+    st.builds("{}{}".format, st.sampled_from(["https://", "HTTP://", "www.", "WWW."]),
+              _ASCII_WORD),
+    st.builds("@{}".format, _ASCII_WORD),
+)
+# Pieces alternate with letters, so a dropped character and one that becomes
+# a space give different outputs.
+_NORMALIZER_INPUT = st.lists(
+    st.tuples(_NORMALIZER_PIECE, st.sampled_from(["", "ب", "z9", " ", "قال"])), max_size=30
+).map(lambda pairs: "".join(piece + letters for piece, letters in pairs))
+
+
+@settings(max_examples=300)
+@given(_NORMALIZER_INPUT)
+def test_normalize_equals_restatement(raw):
+    assert normalize_arabic(raw) == _normalize_restated(raw)
+
+
+# Every BMP code point (surrogates included) and a few astral ones, each
+# between two letters, in an order shuffled by the seed; then URL and mention
+# runs around them.
+_RESTATEMENT_RUN = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from test_textnorm import _normalize_restated
+from quotematch.textnorm import normalize_arabic
+chars = [chr(c) for c in range(0x10000)] + ["\\U0001F600", "\\U000E0001", "\\U0010FFFF"]
+random.Random(int(sys.argv[2])).shuffle(chars)
+texts = ["ب" + ch + "x" for ch in chars]
+texts += ["@user_1 https://t.co/" + "".join(chars[i : i + 5]) + " www.a.b/c" for i in range(500)]
+for text in texts:
+    assert normalize_arabic(text) == _normalize_restated(text), repr(text)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "7"])
+def test_normalize_equals_restatement_in_fresh_process(hash_seed):
+    # A new process fills the table from empty, in another order per seed.
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run(
+        [sys.executable, "-c", _RESTATEMENT_RUN, str(Path(__file__).parent), hash_seed],
+        env=env, check=True, timeout=120,
+    )
 
 
 def test_fold_table_is_pinned():
