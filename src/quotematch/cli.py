@@ -4,10 +4,12 @@ train -> report, plus a synthetic fixture generator.
 Exit codes: 0 ok, 2 missing input file, 3 artifact version/hash mismatch,
 4 contract violation (bad data or parameters). Stage artifacts embed content
 hashes so a scan cannot silently run against the wrong index, nor a report
-against the wrong feature space. ``index`` compiles the corpus once; ``scan``
-reads that compiled index, checks it against the corpus file's hash, strips
-quote introductions with the prefix lexicon the index records, scans with the
-index's shingle size, and parses no corpus.
+against the wrong feature space or ties file. ``index`` compiles the corpus
+once; ``scan`` reads that compiled index, checks it against the corpus file's
+hash, strips quote introductions with the prefix lexicon the index records,
+scans with the index's shingle size, and parses no corpus. ``features`` reads
+the ties file once and records its per-user tie counts in the space, so
+``report`` only hashes the ties file.
 Every JSON, JSONL and CSV artifact is read and written through ``quotematch.artifacts``.
 """
 
@@ -182,18 +184,19 @@ def cmd_label(args) -> None:
 
 def cmd_features(args) -> None:
     ties_path = _require(args.ties)
-    dataset_users = None
+    ties = features_mod.read_ties_csv(ties_path)
+    # Counted over the whole file: report's class summary covers every labeled user.
+    per_user = features_mod.kind_counts(ties)
     if args.labeled:
         rows = behavior.read_stats_csv(_require(args.labeled))
-        dataset_users = {
+        ties = ties.restrict({
             stats.user_id
             for stats, label in rows
             if label in (BehaviorLabel.CIRCULATOR, BehaviorLabel.DEBUNKER)
-        }
-    ties = features_mod.read_ties_csv(ties_path, dataset_users)
+        })
     space = features_mod.build_feature_space(ties)
     vectors, dropped = features_mod.encode_users(ties, space)
-    features_mod.save_space(space, args.out_space, ties_hash=_sha256(ties_path))
+    features_mod.save_space(space, args.out_space, _sha256(ties_path), per_user)
     features_mod.save_vectors(vectors, args.out_vectors, space.manifest_hash)
     print(
         f"feature space: {space.n_columns} columns, {len(vectors)} users encoded"
@@ -295,16 +298,19 @@ def cmd_report(args) -> None:
         for category in sorted(counts[side])
     ))
 
+    if args.ties and _sha256(_require(args.ties)) != space.ties_hash:
+        raise VersionMismatchError(
+            f"ties {args.ties} differ from the ties file {args.space} was built from"
+        )
     if args.labeled and args.ties:
         rows = behavior.read_stats_csv(_require(args.labeled))
-        per_user = features_mod.kind_counts(features_mod.read_ties_csv(_require(args.ties)))
         counts_map = {}
         labels_map = {}
         for stats, label in rows:
             if label is None:
                 continue
             # kind_counts is in TieKind order: follow, retweet, like.
-            follows, retweets, likes = per_user.get(stats.user_id, (0, 0, 0))
+            follows, retweets, likes = space.kind_counts.get(stats.user_id, (0, 0, 0))
             counts_map[stats.user_id] = behavior.InteractionCounts(
                 follows, retweets, likes, stats.retweet_fraction
             )
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--category-map", help="CSV target_id,category")
     report_p.add_argument("--top-k", type=int, default=100)
     report_p.add_argument("--labeled", help="labeled stats CSV for class summaries")
-    report_p.add_argument("--ties", help="ties CSV for class summaries")
+    report_p.add_argument("--ties", help="ties CSV the space was built from (hash-checked)")
     report_p.set_defaults(func=cmd_report)
 
     synth_p = sub.add_parser("synth", help="generate a deterministic synthetic fixture")

@@ -5,8 +5,9 @@ a page and liking its tweets occupy two different columns. Encodings are
 binary: a column is active iff the user has that tie.
 
 Ties are held in a ``TieTable``: the distinct (user, target, kind) ties as two
-integer code arrays over sorted vocabularies, so encoding and counting are
-array operations rather than work per tie object.
+integer code arrays over sorted vocabularies, so encoding, counting and
+restricting to a set of users are array operations rather than work per tie
+object.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class TieKind(Enum):
 Tie = tuple[str, str, TieKind]  # (user_id, target_id, kind)
 
 _KIND_OF_LABEL = {kind.value: kind for kind in TieKind}
+SPACE_FORMAT_VERSION = 2
 _TIES_HEADER = ["user_id", "target_id", "kind"]
 
 
@@ -52,7 +54,8 @@ class TieTable:
 
     ``users`` is sorted, ``pairs`` is sorted by (target, kind value), and the
     ties by (user, pair) code, so code order is output order. Self-ties are
-    kept; the feature encoders skip them."""
+    kept; the feature encoders skip them. A restricted table keeps the whole
+    vocabularies, so some users and pairs may have no tie."""
 
     users: tuple[str, ...]
     pairs: tuple[tuple[str, TieKind], ...]
@@ -73,17 +76,20 @@ class TieTable:
         target_user = np.array([code_of.get(t, -1) for t, _ in self.pairs], dtype=np.int64)
         return target_user[self.pair] != self.user
 
+    def restrict(self, users: Container[str]) -> "TieTable":
+        """The ties of ``users`` only, over the same vocabularies."""
+        keep = np.array([u in users for u in self.users], dtype=bool)[self.user]
+        return TieTable(self.users, self.pairs, self.user[keep], self.pair[keep])
 
-def tie_table(ties: Iterable[Tie], users: Container[str] | None = None) -> TieTable:
-    """Code ties into a ``TieTable``; duplicates collapse, and when ``users``
-    is given only their ties are kept."""
+
+def tie_table(ties: Iterable[Tie]) -> TieTable:
+    """Code ties into a ``TieTable``; duplicates collapse."""
     user_code: dict[str, int] = {}
     pair_code: dict[tuple[str, TieKind], int] = {}
     codes = array("q")
     for user_id, target_id, kind in ties:
-        if users is None or user_id in users:
-            codes.append(user_code.setdefault(user_id, len(user_code)))
-            codes.append(pair_code.setdefault((target_id, kind), len(pair_code)))
+        codes.append(user_code.setdefault(user_id, len(user_code)))
+        codes.append(pair_code.setdefault((target_id, kind), len(pair_code)))
     user_names = sorted(user_code)
     pair_names = sorted(pair_code, key=lambda pair: (pair[0], pair[1].value))
     # argsort inverts "sorted position -> code", giving each code its sorted rank.
@@ -97,16 +103,23 @@ def tie_table(ties: Iterable[Tie], users: Container[str] | None = None) -> TieTa
 
 @dataclass
 class FeatureSpace:
-    """Dense 0..n-1 column indexing of (target, kind) pairs, sorted for stability."""
+    """Dense 0..n-1 column indexing of (target, kind) pairs, sorted for stability.
+
+    ``ties_hash`` and ``kind_counts`` (see :func:`kind_counts`) describe the
+    whole ties file the space was built from, users outside the space included."""
 
     columns: tuple[tuple[str, TieKind], ...]
     support: tuple[int, ...]
-    column_of: dict[tuple[str, TieKind], int] = field(init=False, repr=False, compare=False)
+    ties_hash: str | None = None
+    kind_counts: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.support):
             raise ValueError("support length does not match column count")
-        self.column_of = {pair: i for i, pair in enumerate(self.columns)}
+
+    @cached_property
+    def column_of(self) -> dict[tuple[str, TieKind], int]:
+        return {pair: i for i, pair in enumerate(self.columns)}
 
     @property
     def n_columns(self) -> int:
@@ -203,10 +216,9 @@ def _csv_ties(path: str | Path) -> Iterator[Tie]:
             raise ValueError(f"{path}: line {line_no}: unknown tie kind {label!r}")
 
 
-def read_ties_csv(path: str | Path, users: Container[str] | None = None) -> TieTable:
-    """Read ``user_id,target_id,kind`` rows into a ``TieTable``; when ``users``
-    is given only their ties are kept. Every row is validated either way."""
-    return tie_table(_csv_ties(path), users)
+def read_ties_csv(path: str | Path) -> TieTable:
+    """Read ``user_id,target_id,kind`` rows into a ``TieTable``."""
+    return tie_table(_csv_ties(path))
 
 
 def write_ties_csv(ties: Iterable[Tie], path: str | Path) -> None:
@@ -214,11 +226,17 @@ def write_ties_csv(ties: Iterable[Tie], path: str | Path) -> None:
     write_csv(path, _TIES_HEADER, rows)
 
 
-def save_space(space: FeatureSpace, path: str | Path, ties_hash: str | None = None) -> None:
-    """Persist the column manifest so coefficient reports stay interpretable."""
+def save_space(
+    space: FeatureSpace, path: str | Path, ties_hash: str | None = None,
+    kind_counts: dict[str, tuple[int, ...]] | None = None,
+) -> None:
+    """Persist the column manifest so coefficient reports stay interpretable,
+    with the hash and the per-user kind counts of the ties file it was built
+    from; :func:`load_space` returns them as the space's own fields."""
     write_json(path, {
-        "format_version": 1,
+        "format_version": SPACE_FORMAT_VERSION,
         "ties_hash": ties_hash,
+        "kind_counts": kind_counts or {},
         "manifest_hash": space.manifest_hash,
         "columns": [[t, k.value] for t, k in space.columns],
         "support": list(space.support),
@@ -226,12 +244,23 @@ def save_space(space: FeatureSpace, path: str | Path, ties_hash: str | None = No
 
 
 def load_space(path: str | Path) -> FeatureSpace:
-    payload = read_json(path, ("columns", "support", "manifest_hash", "format_version"), 1)
+    keys = ("columns", "support", "manifest_hash", "kind_counts", "format_version")
+    payload = read_json(path, keys, SPACE_FORMAT_VERSION)
+    counts = payload["kind_counts"]
+    if not isinstance(counts, dict) or not all(
+        isinstance(row, list) and len(row) == len(TieKind) and all(type(n) is int for n in row)
+        for row in counts.values()
+    ):
+        raise ValueError(f"{path}: kind_counts must map users to {len(TieKind)} integer counts")
     try:
         space = FeatureSpace(
-            columns=tuple((t, TieKind(k)) for t, k in payload["columns"]),
+            columns=tuple((t, _KIND_OF_LABEL[k]) for t, k in payload["columns"]),
             support=tuple(payload["support"]),
+            ties_hash=payload.get("ties_hash"),
+            kind_counts={user: tuple(row) for user, row in counts.items()},
         )
+    except KeyError as exc:
+        raise ValueError(f"{path}: unknown tie kind {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if payload["manifest_hash"] != space.manifest_hash:

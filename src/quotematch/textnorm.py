@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, TypeAlias
 
@@ -121,7 +122,8 @@ DEFAULT_PREFIX_PATTERNS = (
 @dataclass(frozen=True)
 class PhraseLexicon:
     """Phrases as normalized token tuples, longest first, then in string order,
-    so the most specific quote introduction is stripped first."""
+    so the most specific quote introduction is stripped first. Matching tries
+    only the phrases that start with the token at hand."""
 
     phrases: tuple[tuple[str, ...], ...]
 
@@ -145,19 +147,29 @@ class PhraseLexicon:
     def __len__(self) -> int:
         return len(self.phrases)
 
+    @cached_property
+    def _by_first(self) -> dict[str, list[tuple[str, ...]]]:
+        """The phrases grouped by first token, each group in ``phrases`` order."""
+        groups: dict[str, list[tuple[str, ...]]] = {}
+        for phrase in self.phrases:
+            groups.setdefault(phrase[0], []).append(phrase)
+        return groups
+
     def leading(self, tokens: Sequence[str]) -> int:
         """Length of the longest phrase that ``tokens`` start with; 0 if none."""
-        for phrase in self.phrases:
+        if not tokens:
+            return 0
+        for phrase in self._by_first.get(tokens[0], ()):
             if tuple(tokens[: len(phrase)]) == phrase:
                 return len(phrase)
         return 0
 
     def occurs_in(self, tokens: Sequence[str]) -> bool:
         """True iff some phrase occurs as consecutive tokens."""
-        for phrase in self.phrases:
-            k = len(phrase)
-            for i in range(len(tokens) - k + 1):
-                if tuple(tokens[i : i + k]) == phrase:
+        by_first = self._by_first
+        for i, token in enumerate(tokens):
+            for phrase in by_first.get(token, ()):
+                if tuple(tokens[i : i + len(phrase)]) == phrase:
                     return True
         return False
 

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotematch.artifacts import read_jsonl, write_csv
+from quotematch.behavior import BehaviorLabel, read_stats_csv, write_stats_csv
 from quotematch.cli import main
 from quotematch.corpus import TSV_HEADER
-from quotematch.features import FeatureSpace, TieKind, save_space
+from quotematch.features import (
+    FeatureSpace, TieKind, kind_counts, load_space, load_vectors, read_ties_csv, save_space,
+)
 from quotematch.matcher import INDEX_MAGIC, load_index
 from quotematch.model import (
     LogitHyperparams, LogitModel, categorize_report, save_model, top_coefficients,
@@ -478,6 +481,28 @@ def test_report_space_mismatch_exit_3(tmp_path, capsys):
     assert "feature space" in capsys.readouterr().err
 
 
+def test_space_kind_counts_cover_users_outside_the_labeled_set(pipeline_dir, tmp_path):
+    ties = tmp_path / "ties.csv"
+    ties.write_text((pipeline_dir / "fx" / "ties.csv").read_text(encoding="utf-8")
+                    + "outsider,circ_0000,like\noutsider,outsider,follow\n", encoding="utf-8")
+    rows = read_stats_csv(pipeline_dir / "work" / "labeled.csv")
+    neither = rows[0][0].user_id
+    labeled = tmp_path / "labeled.csv"
+    write_stats_csv([
+        (stats, BehaviorLabel.NEITHER if stats.user_id == neither else label)
+        for stats, label in rows
+    ], labeled)
+    assert main(["features", "--ties", str(ties), "--labeled", str(labeled),
+                 "--out-space", str(tmp_path / "space.json"),
+                 "--out-vectors", str(tmp_path / "vectors.jsonl")]) == 0
+    space = load_space(tmp_path / "space.json")
+    assert space.kind_counts == kind_counts(read_ties_csv(ties))
+    assert space.kind_counts["outsider"] == (1, 0, 1)
+    assert space.kind_counts[neither] != (0, 0, 0)
+    encoded = {v.user_id for v in load_vectors(tmp_path / "vectors.jsonl", space)}
+    assert encoded == {stats.user_id for stats, _ in rows} - {neither}
+
+
 def test_timeline_non_boolean_retweet_exit_4(tmp_path, capsys):
     fx, work = tmp_path / "fx", tmp_path / "work"
     work.mkdir()
@@ -550,7 +575,18 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
         (_REPORT, _edit_json("space.json", columns=5), 4, r"space\.json: 'int' object"),
         (_REPORT, _edit_json("model.json", hyperparams=3), 4, r"model\.json: .*must be a mapping"),
         (_REPORT, _edit_json("space.json", format_version=99), 3,
-         r"space\.json: format version 99, expected 1"),
+         r"space\.json: format version 99, expected 2"),
+        (_REPORT, _edit_json("space.json", format_version=1), 3,
+         r"space\.json: format version 1, expected 2"),
+        (_REPORT, _edit_json("space.json", columns=[["t", "block"]]), 4,
+         r"space\.json: unknown tie kind 'block'"),
+        (_REPORT, _edit_json("space.json", columns=[["t", "like", "x"]]), 4,
+         r"space\.json: too many values to unpack"),
+        (_REPORT, _edit_json("space.json", kind_counts={"u": [1, 2]}), 4,
+         r"space\.json: kind_counts must map users to 3 integer counts"),
+        (_REPORT + ["--ties", "{w}/ties.csv"],
+         _replace_text("ties.csv", lambda text: text + "extra,hub,follow\n"), 3,
+         r"ties /\S*/ties\.csv differ from the ties file /\S*/space\.json was built from"),
         (_TRAIN, _edit_vectors(1, format_version=99), 3,
          r"vectors\.jsonl: line 1: format version 99, expected 1"),
         (_REPORT, _edit_json("model.json", format_version=99), 3,
@@ -591,8 +627,10 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
     ],
     ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
          "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
-         "space-v99", "vectors-v99", "model-v99", "vectors-empty-space-hash",
-         "model-empty-space-hash", "space-empty-manifest-hash", "category-map-three-fields",
+         "space-v99", "space-v1", "space-unknown-kind", "space-column-three-fields",
+         "space-kind-counts-short", "report-ties-extra-tie", "vectors-v99", "model-v99",
+         "vectors-empty-space-hash", "model-empty-space-hash", "space-empty-manifest-hash",
+         "category-map-three-fields",
          "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
          "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",
          "stats-extra-field", "stats-missing-field", "stats-empty-fields", "vectors-user-id-int",

@@ -236,16 +236,29 @@ def test_ties_csv_duplicates_collapse(tmp_path):
     assert len(read_ties_csv(path)) == 1
 
 
-def test_ties_csv_user_filter_still_validates_every_row(tmp_path):
+def test_ties_csv_restrict_still_validates_every_row(tmp_path):
     path = tmp_path / "ties.csv"
     path.write_text("user_id,target_id,kind\nu,a,follow\nv,b, Like\n", encoding="utf-8")
-    assert set(read_ties_csv(path, {"v"})) == {_tie("v", "b", TieKind.LIKE_AUTHOR)}
+    assert set(read_ties_csv(path).restrict({"v"})) == {_tie("v", "b", TieKind.LIKE_AUTHOR)}
     path.write_text("u,a,follow\nv,b,block\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"ties\.csv: line 2: unknown tie kind 'block'"):
-        read_ties_csv(path, {"u"})
+        read_ties_csv(path).restrict({"u"})
     path.write_text("u,a,follow\n\nv,b\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"ties\.csv: line 3: expected 3 columns, got 2"):
-        read_ties_csv(path, {"u"})
+        read_ties_csv(path).restrict({"u"})
+
+
+@given(
+    st.lists(st.tuples(_IDS, _IDS, st.sampled_from(list(TieKind))), max_size=40),
+    st.sets(_IDS),
+)
+def test_restrict_equals_coding_only_those_users(ties, users):
+    restricted = tie_table(ties).restrict(users)
+    alone = tie_table(t for t in ties if t[0] in users)
+    assert list(restricted) == list(alone)
+    space = build_feature_space(restricted)
+    assert space == build_feature_space(alone)
+    assert encode_users(restricted, space) == encode_users(alone, space)
 
 
 def test_space_json_roundtrip(tmp_path):

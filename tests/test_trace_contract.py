@@ -4,16 +4,22 @@ contract without changing the tracer."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from quotematch.cli import main
 from quotematch.corpus import build_corpus
 from quotematch.matcher import build_index, load_index, query_candidates, save_index
 from quotematch.textnorm import shingle
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +61,29 @@ def test_candidate_count_is_quotes_sharing_a_shingle(layers, post):
     counts = Counter()
     layers[("matcher", "query_candidates")](counts, query_candidates(build_index(CORPUS), shingle(post)))
     assert counts["candidates"] == len(sharing)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the trace result")
+
+
+def test_traced_run_reports_every_per_layer_metric(tmp_path):
+    """``trace.py`` patches modules process-wide, so it runs in its own process."""
+    inputs = tmp_path / "inputs"
+    assert main(["synth", "--out-dir", str(inputs), "--n-per-class", "30", "--planted", "5",
+                 "--two-refute", "10", "--timeline-len", "6", "--seed", "1"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), QUOTEMATCH_THREADS="1")
+    result_path = tmp_path / "result.json"
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "trace.py"), str(inputs), str(tmp_path / "out"),
+         str(result_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    assert result["absent"] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    # bench/run.py adds the cli.* stage timings itself, outside the tracer.
+    names = [m["name"] for m in declared if not m["name"].startswith("cli.")]
+    assert len(names) == 25
+    assert [name for name in names if name not in result["metrics"]] == []
