@@ -17,9 +17,9 @@ from quotematch.features import (
 from quotematch.model import (
     LogitHyperparams,
     categorize_report,
-    cross_validate,
+    distinct_columns,
     top_coefficients,
-    train_logit,
+    train_and_validate,
     welch_t_test,
 )
 
@@ -41,6 +41,9 @@ for i in range(120):
             ties.append((user, page, kinds[int(rng.integers(0, 3))]))
     for _ in range(int(rng.integers(2, 6))):
         ties.append((user, f"misc_{int(rng.integers(0, 40)):02d}", kinds[int(rng.integers(0, 3))]))
+    if i % 4 == 0:  # a page only this user follows and likes: two identical columns
+        ties += [(user, f"fan_page_{i:03d}", TieKind.FOLLOW),
+                 (user, f"fan_page_{i:03d}", TieKind.LIKE_AUTHOR)]
 
 # The encoders work on a table of integer codes: duplicates collapse there.
 table = tie_table(ties)
@@ -50,12 +53,15 @@ X = to_csr(vectors, space.n_columns)
 y = np.array([labels[v.user_id] for v in vectors])
 print(f"feature space: {space.n_columns} (target, kind) columns over {len(vectors)} users")
 
+# As the `train` stage does: group identical columns once, fit the final model
+# from zero on the distinct ones, then start each CV fold from it.
+design = distinct_columns(X)
+print(f"distinct columns: {design.X.shape[1]} of {space.n_columns}")
 hp = LogitHyperparams(seed=0)
-metrics = cross_validate(X, y, hp, repeats=10)
+model, metrics = train_and_validate(design, y, hp, repeats=10)
 print(f"90-10 cross-validation accuracy: {metrics.accuracy:.3f}")
 print(f"macro F1: {metrics.macro_f1:.3f}")
 
-model = train_logit(X, y, hp)  # refit on everything before reading weights
 report = top_coefficients(model, space, k=5)
 print("\nstrongest positive (group +1) coefficients:")
 for (target, kind), weight in report.top_positive:

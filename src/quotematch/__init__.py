@@ -50,8 +50,10 @@ from .model import (
     WelchResult,
     categorize_report,
     cross_validate,
+    distinct_columns,
     evaluate,
     top_coefficients,
+    train_and_validate,
     train_logit,
     welch_t_test,
 )

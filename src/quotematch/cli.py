@@ -209,6 +209,8 @@ def cmd_features(args) -> None:
 
 
 def _load_xy(args) -> tuple:
+    """The space's manifest hash, the tie matrix of the labeled users and their
+    labels (+1 circulator, -1 debunker); the loaded objects die on return."""
     space = features_mod.load_space(_require(args.space))
     vectors = features_mod.load_vectors(_require(args.vectors), space)
     labels = {
@@ -223,7 +225,7 @@ def _load_xy(args) -> tuple:
         [1.0 if labels[v.user_id] is BehaviorLabel.CIRCULATOR else -1.0 for v in keep]
     )
     X = features_mod.to_csr(keep, space.n_columns)
-    return space, keep, X, y
+    return space.manifest_hash, X, y
 
 
 def _write_metrics(metrics, path: str) -> None:
@@ -240,16 +242,19 @@ def _write_metrics(metrics, path: str) -> None:
 
 
 def cmd_train(args) -> None:
-    space, _vectors, X, y = _load_xy(args)
+    space_hash, X, y = _load_xy(args)
+    design = model_mod.distinct_columns(X)
+    del X  # the fits need only the distinct columns
     hp = LogitHyperparams(
         l2_strength=args.l2, max_iters=args.max_iters, tolerance=args.tol, seed=args.seed
     )
-    metrics = model_mod.cross_validate(X, y, hp, test_fraction=0.1, repeats=args.repeats)
-    final = model_mod.train_logit(X, y, hp)
-    model_mod.save_model(final, args.out_model, space.manifest_hash)
+    final, metrics = model_mod.train_and_validate(
+        design, y, hp, test_fraction=0.1, repeats=args.repeats
+    )
+    model_mod.save_model(final, args.out_model, space_hash)
     _write_metrics(metrics, args.out_metrics)
     print(
-        f"trained on {X.shape[0]} users x {X.shape[1]} features; "
+        f"trained on {len(y)} users x {len(design.group)} features; "
         f"cv accuracy {metrics.accuracy:.3f}"
     )
 

@@ -130,10 +130,13 @@ class FeatureSpace:
 
     @cached_property
     def manifest_hash(self) -> str:
-        payload = json.dumps(
-            [[t, k.value] for t, k in self.columns], ensure_ascii=False, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _manifest_hash([[t, k.value] for t, k in self.columns])
+
+
+def _manifest_hash(columns: list[list[str]]) -> str:
+    """sha256 of the ``[[target, kind label], ...]`` column list as compact JSON."""
+    payload = json.dumps(columns, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,10 @@ def load_space(path: str | Path) -> FeatureSpace:
         for row in counts.values()
     ):
         raise ValueError(f"{path}: kind_counts must map users to {len(TieKind)} integer counts")
+    columns = payload["columns"]
     try:
         space = FeatureSpace(
-            columns=tuple((t, _KIND_OF_LABEL[k]) for t, k in payload["columns"]),
+            columns=tuple((t, _KIND_OF_LABEL[k]) for t, k in columns),
             support=tuple(payload["support"]),
             ties_hash=payload.get("ties_hash"),
             kind_counts={user: tuple(row) for user, row in counts.items()},
@@ -263,8 +267,11 @@ def load_space(path: str | Path) -> FeatureSpace:
         raise ValueError(f"{path}: unknown tie kind {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if payload["manifest_hash"] != space.manifest_hash:
+    # Every kind label is known, so the list as read is the list the hash covers.
+    digest = _manifest_hash(columns)
+    if payload["manifest_hash"] != digest:
         raise ValueError(f"{path}: manifest hash does not match column list")
+    space.manifest_hash = digest
     return space
 
 

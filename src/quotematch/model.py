@@ -1,24 +1,40 @@
 """Logistic-regression tie classifier, evaluation, coefficient reports, and
 the two-sample statistics used to contrast the labeled classes.
 
-Training minimizes the L2-regularized logistic loss from zero with LIBLINEAR's
+Training minimizes the L2-regularized logistic loss with LIBLINEAR's
 trust-region Newton method (Lin, Weng & Keerthi, JMLR 2008; scipy's ``trust-ncg``)
 on exact Hessian-vector products. Reproducible coefficients are the point; there
 is no stochastic path.
+
+The ``train`` stage fits on distinct columns (:func:`distinct_columns`): each
+group of k identical columns becomes one column scaled by √k, and a weight v
+fitted there expands to v/√k on every column of its group. Under an L2 penalty
+identical columns get identical weights at the optimum (the grouping effect:
+Zou & Hastie, JRSS-B 2005), and on such weights the map is an isometry that
+keeps the loss and the gradient norm, so the optimum does not move. With
+``l2_strength`` 0 the optimum is not unique and the fit returns the one that
+is equal within each group. The stage fits the final model from zero, then
+starts each cross-validation fold from it (:func:`train_and_validate`). For
+``l2_strength`` > 0 each fold's objective is strictly convex, so its optimum
+does not depend on the start; only where the fit stops within the gradient-norm
+tolerance moves.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import read_json, write_json
 from .features import FeatureSpace, TieKind
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -91,8 +107,14 @@ def hessian_product(
     return np.append(np.asarray(X.T @ u).ravel() + (l2_strength / n) * v[:-1], u.sum())
 
 
-def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> LogitModel:
-    """Fit the classifier on labels in {+1, -1}; deterministic given the data."""
+def train_logit(
+    X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS, start: np.ndarray | None = None
+) -> LogitModel:
+    """Fit the classifier on labels in {+1, -1}; deterministic given the data.
+
+    ``start`` holds the weights then the bias to start from (zeros by default);
+    ``loss_history`` begins with the loss there and gains one entry per
+    accepted step."""
     from scipy.optimize import minimize
 
     y = np.asarray(y, dtype=np.float64)
@@ -106,13 +128,17 @@ def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> Lo
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single class")
 
+    theta0 = np.zeros(d + 1) if start is None else np.array(start, dtype=np.float64)
+    if theta0.shape != (d + 1,):
+        raise ValueError(f"start has shape {theta0.shape}, expected ({d + 1},): weights then bias")
+
     l2 = hyperparams.l2_strength
 
     def loss_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grad_w, grad_b = loss_and_grad(theta[:-1], theta[-1], X, y, l2)
         return loss, np.append(grad_w, grad_b)
 
-    history = [loss_and_grad(np.zeros(d), 0.0, X, y, l2)[0]]
+    history = [loss_and_grad(theta0[:-1], theta0[-1], X, y, l2)[0]]
 
     def record(intermediate_result) -> None:
         # Called after every iteration; a rejected step leaves the loss as is.
@@ -121,7 +147,7 @@ def train_logit(X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS) -> Lo
 
     result = minimize(
         loss_and_gradient,
-        np.zeros(d + 1),
+        theta0,
         method="trust-ncg",
         jac=True,
         # The curvature is taken at ``theta`` itself, never cached from the last
@@ -229,8 +255,10 @@ def cross_validate(
     hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS,
     test_fraction: float = 0.1,
     repeats: int = 10,
+    start: np.ndarray | None = None,
 ) -> Metrics:
-    """Mean metrics over repeated, seeded, stratified train/test splits."""
+    """Mean metrics over repeated, seeded, stratified train/test splits; every
+    fold's fit starts from ``start`` (see :func:`train_logit`)."""
     y = np.asarray(y, dtype=np.float64)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
@@ -250,9 +278,68 @@ def cross_validate(
             train_parts.append(perm[n_test:])
         train_idx = np.sort(np.concatenate(train_parts))
         test_idx = np.sort(np.concatenate(test_parts))
-        model = train_logit(X[train_idx], y[train_idx], hyperparams)
+        model = train_logit(X[train_idx], y[train_idx], hyperparams, start)
         folds.append(evaluate(model, X[test_idx], y[test_idx]))
     return _mean_metrics(folds)
+
+
+@dataclass(frozen=True)
+class DistinctColumns:
+    """A design with each group of k identical columns stored once, scaled by √k.
+
+    ``X`` holds one column per group, in the order of each group's first
+    column; ``group[j]`` is the group of original column j and ``scale[g]``
+    is √k of group g."""
+
+    X: sparse.csr_matrix
+    group: np.ndarray
+    scale: np.ndarray
+
+    def expand(self, model: LogitModel) -> LogitModel:
+        """``model`` fitted on ``X``, on the original columns: w_j = v_g / √k."""
+        return replace(model, weights=(model.weights / self.scale)[self.group])
+
+
+def distinct_columns(X) -> DistinctColumns:
+    """Group the identical columns of a dense or sparse ``X``; the design is CSR.
+
+    Columns are compared exactly, by the rows and values of their stored
+    entries (duplicate entries summed); groups are numbered in the order of
+    their first columns, so the grouping does not depend on hashing."""
+    from scipy import sparse
+
+    X = sparse.csc_matrix(X, dtype=np.float64, copy=True)
+    X.sum_duplicates()
+    # Each column's (row, value bits) pairs, 16 bytes per stored entry.
+    buf = np.column_stack((X.indices.astype(np.int64), X.data.view(np.int64))).tobytes()
+    ends = (16 * X.indptr).tolist()
+    group_of: dict[bytes, int] = {}
+    group = np.fromiter(
+        (group_of.setdefault(buf[a:b], len(group_of)) for a, b in zip(ends, ends[1:])),
+        dtype=np.int64, count=X.shape[1],
+    )
+    first = np.unique(group, return_index=True)[1]
+    scale = np.sqrt(np.bincount(group))
+    kept = X[:, first]
+    kept.data *= np.repeat(scale, np.diff(kept.indptr))
+    return DistinctColumns(kept.tocsr(), group, scale)
+
+
+def train_and_validate(
+    design: DistinctColumns,
+    y,
+    hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS,
+    test_fraction: float = 0.1,
+    repeats: int = 10,
+) -> tuple[LogitModel, Metrics]:
+    """The final model, fitted from zero, and the CV metrics of folds started
+    from it, all fitted on ``design``'s distinct columns; the model is
+    returned on the original columns."""
+    final = train_logit(design.X, y, hyperparams)
+    metrics = cross_validate(
+        design.X, y, hyperparams, test_fraction, repeats, np.append(final.weights, final.bias)
+    )
+    return design.expand(final), metrics
 
 
 @dataclass(frozen=True)

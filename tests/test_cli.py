@@ -503,6 +503,34 @@ def test_space_kind_counts_cover_users_outside_the_labeled_set(pipeline_dir, tmp
     assert encoded == {stats.user_id for stats, _ in rows} - {neither}
 
 
+def test_trained_weights_are_stationary_on_every_tie_column(pipeline_dir, tmp_path):
+    """``train`` fits on distinct columns; ``model.json``'s expanded weights
+    must still zero the gradient of the objective over all of them."""
+    work = pipeline_dir / "work"
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--space", str(work / "space.json"),
+                 "--vectors", str(work / "vectors.jsonl"),
+                 "--labeled", str(work / "labeled.csv"), "--out-model", str(model_path),
+                 "--out-metrics", str(tmp_path / "metrics.csv"), "--repeats", "2"]) == 0
+    sign = {BehaviorLabel.CIRCULATOR: 1.0, BehaviorLabel.DEBUNKER: -1.0}
+    labels = {stats.user_id: sign.get(label) for stats, label in read_stats_csv(
+        work / "labeled.csv")}
+    space = load_space(work / "space.json")
+    rows = [v for v in load_vectors(work / "vectors.jsonl", space) if labels.get(v.user_id)]
+    X = np.zeros((len(rows), space.n_columns))
+    for i, v in enumerate(rows):
+        X[i, list(v.columns)] = 1.0
+    y = np.array([labels[v.user_id] for v in rows])
+    # Some columns repeat, so a wrong expansion would show.
+    assert len({X[:, j].tobytes() for j in range(X.shape[1])}) < X.shape[1]
+    fitted = json.loads(model_path.read_text(encoding="utf-8"))
+    w, b = np.array(fitted["weights"]), fitted["bias"]
+    l2, tol = fitted["hyperparams"]["l2_strength"], fitted["hyperparams"]["tolerance"]
+    r = y / (1.0 + np.exp(y * (X @ w + b)))  # y * sigmoid(-margin)
+    grad = np.append(-X.T @ r / len(y) + l2 * w / len(y), -r.sum() / len(y))
+    assert np.linalg.norm(grad) <= 1.01 * tol
+
+
 def test_timeline_non_boolean_retweet_exit_4(tmp_path, capsys):
     fx, work = tmp_path / "fx", tmp_path / "work"
     work.mkdir()
@@ -534,6 +562,15 @@ def _edit_json(name, **changes):
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(dict(payload, **changes)), encoding="utf-8")
     return name, edit
+
+
+def _edit_first_column(change):
+    """Rewrite space.json's first [target, kind] column, keeping its manifest hash."""
+    def edit(path: Path) -> None:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["columns"][0] = change(*payload["columns"][0])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return "space.json", edit
 
 
 def _edit_vectors(line, **changes):
@@ -597,6 +634,11 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          r"model\.json was trained against a different"),
         (_REPORT, _edit_json("space.json", manifest_hash=""), 4,
          r"space\.json: manifest hash does not match"),
+        (_REPORT, _edit_first_column(lambda target, kind: [target + "x", kind]), 4,
+         r"space\.json: manifest hash does not match column list"),
+        (_TRAIN, _edit_first_column(lambda target, kind: [target, "like" if kind != "like"
+                                                          else "follow"]), 4,
+         r"space\.json: manifest hash does not match column list"),
         (_REPORT, _replace_text("categories.csv", lambda text: text + "hub,000,Hubs\n"), 4,
          r"categories\.csv: line 3: expected 2 fields target_id,category, got 3"),
         (_FEATURES, _replace_text("ties.csv", lambda _: 'u,"a\nb",follow\nv,b,block\n'), 4,
@@ -630,6 +672,7 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          "space-v99", "space-v1", "space-unknown-kind", "space-column-three-fields",
          "space-kind-counts-short", "report-ties-extra-tie", "vectors-v99", "model-v99",
          "vectors-empty-space-hash", "model-empty-space-hash", "space-empty-manifest-hash",
+         "space-tampered-target", "train-space-tampered-kind",
          "category-map-three-fields",
          "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
          "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from quotematch.features import TieKind, build_feature_space, tie_table
+from quotematch.features import (
+    TieKind, build_feature_space, encode_users, read_ties_csv, tie_table, to_csr,
+)
 from quotematch.model import (
     CoefficientReport,
     LogitHyperparams,
     categorize_report,
     compute_metrics,
     cross_validate,
+    distinct_columns,
     evaluate,
     hessian_product,
     load_model,
@@ -16,8 +19,10 @@ from quotematch.model import (
     predict_labels,
     save_model,
     top_coefficients,
+    train_and_validate,
     train_logit,
 )
+from quotematch.synth import SyntheticSpec, generate
 
 
 def loss(w, b, X, y, l2):
@@ -281,3 +286,150 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.bias == pytest.approx(model.bias)
     assert loaded.hyperparams == model.hyperparams
     assert space_hash == "h1"
+
+
+# ---------------------------------------------------------------------------
+# Distinct columns and warm starts
+
+
+def _theta(model):
+    return np.append(model.weights, model.bias)
+
+
+def _noisy(n=80, d=4, seed=0):
+    """Dense features with labels that no hyperplane separates."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, d)) < 0.4).astype(float)
+    y = np.where(X[:, 0] - X[:, 1] + rng.normal(0, 1, n) > 0, 1.0, -1.0)
+    return X, y
+
+
+def test_copied_column_fits_as_that_column_scaled_by_sqrt_k():
+    X, y = _noisy()
+    k = 3
+    copied = np.hstack([np.repeat(X[:, :1], k, axis=1), X[:, 1:]])
+    scaled = X.copy()
+    scaled[:, 0] *= np.sqrt(k)
+    m_copied = train_logit(copied, y, HP)
+    m_scaled = train_logit(scaled, y, HP)
+    assert np.allclose(m_copied.weights[:k], m_scaled.weights[0] / np.sqrt(k), atol=1e-7)
+    assert np.allclose(m_copied.weights[k:], m_scaled.weights[1:], atol=1e-7)
+    assert m_copied.bias == pytest.approx(m_scaled.bias, abs=1e-7)
+    design = distinct_columns(copied)
+    assert np.array_equal(design.X.toarray(), scaled)
+    assert design.group.tolist() == [0] * k + [1, 2, 3]
+
+
+def _duplicated_sparse(seed):
+    """A random binary design of 60 columns drawn from 12 distinct ones."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(70) < 0.5, 1.0, -1.0)
+    base = (rng.random((70, 12)) < 0.15).astype(float)
+    base[:, 0] = y > 0  # one informative column, so the fit is not trivial
+    X = base[:, rng.integers(0, 12, size=60)]
+    return X, y
+
+
+@pytest.mark.parametrize("as_matrix", [np.asarray, sparse.csr_matrix], ids=["dense", "csr"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_on_distinct_columns_equals_fit_on_all(as_matrix, seed):
+    X, y = _duplicated_sparse(seed)
+    full = train_logit(as_matrix(X), y, HP)
+    design = distinct_columns(as_matrix(X))
+    collapsed = design.expand(train_logit(design.X, y, HP))
+    n_groups = design.X.shape[1]
+    assert n_groups < X.shape[1]
+    # Groups are numbered by first column and hold exactly the equal columns.
+    firsts = [int(np.flatnonzero(design.group == g)[0]) for g in range(n_groups)]
+    assert firsts == sorted(firsts)
+    for i in range(X.shape[1]):
+        for j in range(X.shape[1]):
+            assert (design.group[i] == design.group[j]) == np.array_equal(X[:, i], X[:, j])
+    assert np.allclose(collapsed.weights, full.weights, atol=1e-7)
+    assert collapsed.bias == pytest.approx(full.bias, abs=1e-7)
+    assert collapsed.final_grad_norm <= HP.tolerance
+
+
+def test_distinct_columns_compare_values_not_only_pattern():
+    X = sparse.csr_matrix(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]))
+    assert distinct_columns(X).group.tolist() == [0, 1, 0]
+
+
+def test_permuting_columns_permutes_expanded_weights():
+    X, y = _duplicated_sparse(3)
+    perm = np.random.default_rng(9).permutation(X.shape[1])
+    design, design_p = distinct_columns(sparse.csr_matrix(X)), distinct_columns(X[:, perm])
+    m = design.expand(train_logit(design.X, y, HP))
+    m_p = design_p.expand(train_logit(design_p.X, y, HP))
+    assert np.allclose(m_p.weights, m.weights[perm], atol=1e-9)
+    assert m_p.bias == pytest.approx(m.bias, abs=1e-9)
+    assert sorted(design_p.scale) == sorted(design.scale)
+    assert len(m_p.loss_history) == len(m.loss_history)
+    assert np.allclose(m_p.loss_history, m.loss_history, rtol=1e-12)
+
+
+def test_zero_l2_gives_the_group_equal_minimizer():
+    X, y = _noisy(n=200, d=3, seed=4)
+    X = X[:, [0, 1, 0, 2, 1, 0]]
+    hp = LogitHyperparams(l2_strength=0.0, tolerance=1e-9)
+    full = train_logit(X, y, hp)
+    design = distinct_columns(X)
+    collapsed = design.expand(train_logit(design.X, y, hp))
+    w = collapsed.weights
+    assert w[0] == w[2] == w[5] and w[1] == w[4]
+    assert loss(w, collapsed.bias, X, y, 0.0) == pytest.approx(
+        loss(full.weights, full.bias, X, y, 0.0), abs=1e-9
+    )
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """Tie matrix and true labels of a small planted synthetic fixture."""
+    paths = generate(
+        SyntheticSpec(n_per_class=30, seed=11, two_refute_debunkers=10),
+        tmp_path_factory.mktemp("planted"),
+    )
+    truth = dict(
+        line.split(",") for line in paths.truth.read_text(encoding="utf-8").splitlines()[1:]
+    )
+    ties = read_ties_csv(paths.ties)
+    space = build_feature_space(ties)
+    vectors, _ = encode_users(ties, space)
+    y = np.array([1.0 if truth[v.user_id] == "circulator" else -1.0 for v in vectors])
+    return to_csr(vectors, space.n_columns), y
+
+
+def test_warm_started_folds_equal_cold_started_folds(planted):
+    X, y = planted
+    hp = LogitHyperparams(seed=5)
+    design = distinct_columns(X)
+    assert design.X.shape[1] < X.shape[1]
+    final, warm = train_and_validate(design, y, hp, repeats=10)
+    cold = cross_validate(design.X, y, hp, repeats=10)
+    assert warm == cold
+    assert cross_validate(X, y, hp, repeats=10) == cold
+    assert np.allclose(final.weights, train_logit(X, y, hp).weights, atol=1e-6)
+
+
+def test_train_rejects_start_of_wrong_length():
+    X, y = _separable()
+    with pytest.raises(ValueError, match="start has shape"):
+        train_logit(X, y, HP, start=np.zeros(X.shape[1]))
+    with pytest.raises(ValueError, match="start has shape"):
+        cross_validate(X, y, HP, repeats=1, start=np.zeros(X.shape[1] + 2))
+
+
+def test_loss_history_starts_at_the_start():
+    X, y = _noisy(seed=6)
+    cold = train_logit(X, y, HP)
+    assert cold.loss_history[0] == loss(np.zeros(X.shape[1]), 0.0, X, y, HP.l2_strength)
+    start = _theta(cold) + 0.3
+    warm = train_logit(X, y, HP, start=start)
+    assert warm.loss_history[0] == loss(start[:-1], start[-1], X, y, HP.l2_strength)
+    assert all(b < a for a, b in zip(warm.loss_history, warm.loss_history[1:]))
+    assert 1 <= len(warm.loss_history) - 1 < len(cold.loss_history) - 1
+    # From the optimum itself the fit takes no step, even when allowed one.
+    again = train_logit(X, y, LogitHyperparams(l2_strength=0.1, tolerance=1e-8, max_iters=1),
+                        start=_theta(cold))
+    assert again.converged and len(again.loss_history) == 1
+    assert np.array_equal(_theta(again), _theta(cold))
