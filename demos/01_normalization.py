@@ -3,7 +3,7 @@
 Run: python demos/01_normalization.py
 """
 
-from quotematch import normalize_arabic, strip_quote_prefix, shingle
+from quotematch.textnorm import normalize_arabic, strip_quote_prefix, shingle
 
 samples = [
     "مُحَمَّدٌ",                       # diacritics vanish

@@ -195,13 +195,11 @@ def cmd_features(args) -> None:
             if label in (BehaviorLabel.CIRCULATOR, BehaviorLabel.DEBUNKER)
         })
     space = features_mod.build_feature_space(ties)
-    vectors, dropped = features_mod.encode_users(ties, space)
+    # The space holds every tie of ``ties``, so none is dropped.
+    vectors, _ = features_mod.encode_users(ties, space)
     features_mod.save_space(space, args.out_space, _sha256(ties_path), per_user)
     features_mod.save_vectors(vectors, args.out_vectors, space.manifest_hash)
-    print(
-        f"feature space: {space.n_columns} columns, {len(vectors)} users encoded"
-        + (f", {dropped} out-of-space ties dropped" if dropped else "")
-    )
+    print(f"feature space: {space.n_columns} columns, {len(vectors)} users encoded")
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +246,7 @@ def cmd_train(args) -> None:
     hp = LogitHyperparams(
         l2_strength=args.l2, max_iters=args.max_iters, tolerance=args.tol, seed=args.seed
     )
-    final, metrics = model_mod.train_and_validate(
-        design, y, hp, test_fraction=0.1, repeats=args.repeats
-    )
+    final, metrics = model_mod.train_and_validate(design, y, hp, repeats=args.repeats)
     model_mod.save_model(final, args.out_model, space_hash)
     _write_metrics(metrics, args.out_metrics)
     print(
@@ -307,17 +303,14 @@ def cmd_report(args) -> None:
         raise VersionMismatchError(
             f"ties {args.ties} differ from the ties file {args.space} was built from"
         )
-    if args.labeled and args.ties:
-        rows = behavior.read_stats_csv(_require(args.labeled))
-        counts_map = {}
-        labels_map = {}
-        for stats, label in rows:
+    if args.labeled:
+        counts_map, labels_map = {}, {}
+        for stats, label in behavior.read_stats_csv(_require(args.labeled)):
             if label is None:
                 continue
             # kind_counts is in TieKind order: follow, retweet, like.
-            follows, retweets, likes = space.kind_counts.get(stats.user_id, (0, 0, 0))
             counts_map[stats.user_id] = behavior.InteractionCounts(
-                follows, retweets, likes, stats.retweet_fraction
+                *space.kind_counts.get(stats.user_id, (0, 0, 0)), stats.retweet_fraction
             )
             labels_map[stats.user_id] = label
         summary = behavior.interaction_summary(counts_map, labels_map)
@@ -451,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--out-dir", required=True)
     report_p.add_argument("--category-map", help="CSV target_id,category")
     report_p.add_argument("--top-k", type=int, default=100)
-    report_p.add_argument("--labeled", help="labeled stats CSV for class summaries")
-    report_p.add_argument("--ties", help="ties CSV the space was built from (hash-checked)")
+    report_p.add_argument("--labeled", help="labeled stats CSV; writes class_summary.csv")
+    report_p.add_argument("--ties", help="optional: ties CSV the space was built from (hashed)")
     report_p.set_defaults(func=cmd_report)
 
     synth_p = sub.add_parser("synth", help="generate a deterministic synthetic fixture")

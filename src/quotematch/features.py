@@ -246,15 +246,20 @@ def save_space(
     })
 
 
+def _is_counts(value) -> bool:
+    return isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)
+
+
 def load_space(path: str | Path) -> FeatureSpace:
     keys = ("columns", "support", "manifest_hash", "kind_counts", "format_version")
     payload = read_json(path, keys, SPACE_FORMAT_VERSION)
     counts = payload["kind_counts"]
     if not isinstance(counts, dict) or not all(
-        isinstance(row, list) and len(row) == len(TieKind) and all(type(n) is int for n in row)
-        for row in counts.values()
+        _is_counts(row) and len(row) == len(TieKind) for row in counts.values()
     ):
         raise ValueError(f"{path}: kind_counts must map users to {len(TieKind)} integer counts")
+    if not _is_counts(payload["support"]):
+        raise ValueError(f"{path}: support must be a list of integers >= 0")
     columns = payload["columns"]
     try:
         space = FeatureSpace(

@@ -17,7 +17,8 @@ is equal within each group. The stage fits the final model from zero, then
 starts each cross-validation fold from it (:func:`train_and_validate`). For
 ``l2_strength`` > 0 each fold's objective is strictly convex, so its optimum
 does not depend on the start; only where the fit stops within the gradient-norm
-tolerance moves.
+tolerance moves. Cross-validation is the paper's 10 seeded, stratified 90/10
+splits; the 90/10 fraction is fixed, only the number of splits is a setting.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class LogitHyperparams:
 
 
 DEFAULT_HYPERPARAMS = LogitHyperparams()
+
+_TEST_FRACTION = 0.1  # each fold tests on this share of each class
 
 
 @dataclass
@@ -253,15 +256,12 @@ def cross_validate(
     X,
     y,
     hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS,
-    test_fraction: float = 0.1,
     repeats: int = 10,
     start: np.ndarray | None = None,
 ) -> Metrics:
-    """Mean metrics over repeated, seeded, stratified train/test splits; every
-    fold's fit starts from ``start`` (see :func:`train_logit`)."""
+    """Mean metrics over repeated, seeded, stratified 90/10 train/test splits;
+    every fold's fit starts from ``start`` (see :func:`train_logit`)."""
     y = np.asarray(y, dtype=np.float64)
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     class_indices = [np.flatnonzero(y == c) for c in (1.0, -1.0)]
@@ -273,7 +273,7 @@ def cross_validate(
         test_parts, train_parts = [], []
         for idx in class_indices:
             perm = rng.permutation(idx)
-            n_test = min(max(1, round(test_fraction * len(idx))), len(idx) - 1)
+            n_test = min(max(1, round(_TEST_FRACTION * len(idx))), len(idx) - 1)
             test_parts.append(perm[:n_test])
             train_parts.append(perm[n_test:])
         train_idx = np.sort(np.concatenate(train_parts))
@@ -329,7 +329,6 @@ def train_and_validate(
     design: DistinctColumns,
     y,
     hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS,
-    test_fraction: float = 0.1,
     repeats: int = 10,
 ) -> tuple[LogitModel, Metrics]:
     """The final model, fitted from zero, and the CV metrics of folds started
@@ -337,7 +336,7 @@ def train_and_validate(
     returned on the original columns."""
     final = train_logit(design.X, y, hyperparams)
     metrics = cross_validate(
-        design.X, y, hyperparams, test_fraction, repeats, np.append(final.weights, final.bias)
+        design.X, y, hyperparams, repeats, np.append(final.weights, final.bias)
     )
     return design.expand(final), metrics
 

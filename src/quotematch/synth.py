@@ -6,6 +6,11 @@ byte-identical. Tie profiles carry planted class-exclusive features; a
 ``label_noise`` fraction of users per class instead draws background-only
 ties, which makes their label pure noise for the tie classifier while their
 timeline behavior stays consistent with the label.
+
+:class:`SyntheticSpec` sets the class size, planted ties, timeline length,
+label noise, seed and two-refute debunkers. The rest is fixed: 30 fabricated
+and 30 other quotes, 100 background tie targets, and a retweet fraction of
+0.758 for circulators and 0.279 for debunkers.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from .textnorm import DEFAULT_PREFIX_PATTERNS, normalize_arabic
 
 _ARABIC_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
 _TIE_KINDS = (TieKind.FOLLOW, TieKind.RETWEET_AUTHOR, TieKind.LIKE_AUTHOR)
+_FABRICATED_QUOTES = 30
+_OTHER_QUOTES = 30
+_BACKGROUND_TARGETS = 100
+_RETWEET_FRACTION = {"circ": 0.758, "deb": 0.279}
 
 
 @dataclass(frozen=True)
@@ -33,25 +42,15 @@ class SyntheticSpec:
     timeline_len: int = 40
     label_noise: float = 0.05
     seed: int = 0
-    fabricated_quotes: int = 30
-    other_quotes: int = 30
-    background_targets: int = 100
     two_refute_debunkers: int = 216
-    circulator_retweet_fraction: float = 0.758
-    debunker_retweet_fraction: float = 0.279
 
     def __post_init__(self) -> None:
         if min(self.n_per_class, self.planted_per_class, self.timeline_len) < 1:
-            raise ValueError("spec sizes must be positive")
-        if min(self.fabricated_quotes, self.other_quotes, self.background_targets) < 1:
             raise ValueError("spec sizes must be positive")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must be in [0, 1]")
         if not 0 <= self.two_refute_debunkers <= self.n_per_class:
             raise ValueError("two_refute_debunkers must be within the class size")
-        for frac in (self.circulator_retweet_fraction, self.debunker_retweet_fraction):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("retweet fractions must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,8 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
     noise_vocab = _make_vocab(rng, 400, reserved | set(quote_vocab))
 
     taken: set[str] = set()
-    fabricated = [_distinct_quote(rng, quote_vocab, taken) for _ in range(spec.fabricated_quotes)]
-    other = [_distinct_quote(rng, quote_vocab, taken) for _ in range(spec.other_quotes)]
+    fabricated = [_distinct_quote(rng, quote_vocab, taken) for _ in range(_FABRICATED_QUOTES)]
+    other = [_distinct_quote(rng, quote_vocab, taken) for _ in range(_OTHER_QUOTES)]
     other_levels = ["authentic", "good", "weak"]
 
     corpus_lines = [TSV_HEADER]
@@ -162,13 +161,13 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
         corpus_lines.append(f"q{i:04d}\tfabricated\tsynthetic\t{text}")
     for j, text in enumerate(other):
         level = other_levels[j % 3]
-        corpus_lines.append(f"q{spec.fabricated_quotes + j:04d}\t{level}\tsynthetic\t{text}")
+        corpus_lines.append(f"q{_FABRICATED_QUOTES + j:04d}\t{level}\tsynthetic\t{text}")
     corpus_path = out / "corpus.tsv"
     corpus_path.write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
 
     circ_planted = _planted_pairs("circ_hub", spec.planted_per_class)
     deb_planted = _planted_pairs("deb_hub", spec.planted_per_class)
-    background = [f"bg_{i:04d}" for i in range(spec.background_targets)]
+    background = [f"bg_{i:04d}" for i in range(_BACKGROUND_TARGETS)]
 
     all_ties: list[Tie] = []
     truth_rows: list[tuple[str, str]] = []
@@ -191,7 +190,6 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
                 for _ in range(n_auth):
                     q = other[int(rng.integers(0, len(other)))]
                     posts.append(_share_text(rng, q, noise_vocab, partial=rng.random() < 0.5))
-                retweet_fraction = spec.circulator_retweet_fraction
             else:
                 is_two_refuter = u >= spec.n_per_class - spec.two_refute_debunkers
                 n_refutes = 2 if is_two_refuter else int(rng.integers(3, 7))
@@ -203,13 +201,12 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
                 for _ in range(n_auth):
                     q = other[int(rng.integers(0, len(other)))]
                     posts.append(_share_text(rng, q, noise_vocab, partial=rng.random() < 0.5))
-                retweet_fraction = spec.debunker_retweet_fraction
 
             while len(posts) < spec.timeline_len:
                 posts.append(_noise_text(rng, noise_vocab))
             posts = posts[: spec.timeline_len]
             order = rng.permutation(len(posts))
-            n_retweets = int(round(retweet_fraction * len(posts)))
+            n_retweets = int(round(_RETWEET_FRACTION[cls] * len(posts)))
             retweet_slots = set(rng.choice(len(posts), size=n_retweets, replace=False).tolist())
             timeline = [
                 Post(

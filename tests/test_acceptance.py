@@ -192,7 +192,7 @@ def test_model_recovery_on_planted_synthetic():
     y = np.array([1.0 if truth[v.user_id] == "circulator" else -1.0 for v in vectors])
 
     hp = LogitHyperparams(seed=17)
-    metrics = cross_validate(X, y, hp, test_fraction=0.1, repeats=10)
+    metrics = cross_validate(X, y, hp, repeats=10)
     model = train_logit(X, y, hp)
     report = top_coefficients(model, space, k=10)
     planted_circ = {f"circ_hub_{i:03d}" for i in range(spec.planted_per_class)}

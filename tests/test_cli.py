@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quotematch import behavior, model as model_mod, synth
 from quotematch.artifacts import read_jsonl, write_csv
 from quotematch.behavior import BehaviorLabel, read_stats_csv, write_stats_csv
 from quotematch.cli import main
@@ -269,10 +271,13 @@ def test_report_model_without_keys_exit_4(tmp_path, capsys):
     assert "model.json: missing key 'weights'" in capsys.readouterr().err
 
 
-# Runs corpus build, index, scan and label in a fresh process, with the stages'
-# own output redirected, then checks that none of them imported scipy.
+# Checks in a fresh process that artifacts, textnorm and corpus load no numpy,
+# then runs corpus build, index, scan and label with the stages' own output
+# redirected, and checks that none of them imported scipy.
 _STAGES_RUN = """
 import contextlib, io, sys
+import quotematch.artifacts, quotematch.textnorm, quotematch.corpus
+assert "numpy" not in sys.modules, "a standard-library module imported numpy"
 from quotematch.cli import main
 fx, out = sys.argv[1], sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -621,6 +626,10 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          r"space\.json: too many values to unpack"),
         (_REPORT, _edit_json("space.json", kind_counts={"u": [1, 2]}), 4,
          r"space\.json: kind_counts must map users to 3 integer counts"),
+        (_REPORT, _edit_json("space.json", kind_counts={"u": [-5, 0, 0]}), 4,
+         r"space\.json: kind_counts must map users to 3 integer counts"),
+        (_REPORT, _edit_json("space.json", support="abc"), 4,
+         r"space\.json: support must be a list of integers >= 0"),
         (_REPORT + ["--ties", "{w}/ties.csv"],
          _replace_text("ties.csv", lambda text: text + "extra,hub,follow\n"), 3,
          r"ties /\S*/ties\.csv differ from the ties file /\S*/space\.json was built from"),
@@ -670,7 +679,8 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
     ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
          "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
          "space-v99", "space-v1", "space-unknown-kind", "space-column-three-fields",
-         "space-kind-counts-short", "report-ties-extra-tie", "vectors-v99", "model-v99",
+         "space-kind-counts-short", "space-kind-counts-negative", "space-support-string",
+         "report-ties-extra-tie", "vectors-v99", "model-v99",
          "vectors-empty-space-hash", "model-empty-space-hash", "space-empty-manifest-hash",
          "space-tampered-target", "train-space-tampered-kind",
          "category-map-three-fields",
@@ -691,6 +701,52 @@ def test_bad_artifact_exit_code_names_file(
     capsys.readouterr()
     assert main([arg.format(w=work) for arg in argv]) == code
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_class_summary_needs_only_labeled(pipeline_dir, tmp_path):
+    work = pipeline_dir / "work"
+    summaries = []
+    for extra in ([], ["--ties", str(pipeline_dir / "fx" / "ties.csv")]):
+        out = tmp_path / f"report{len(extra)}"
+        assert main(["report", "--model", str(work / "model.json"),
+                     "--space", str(work / "space.json"), "--out-dir", str(out),
+                     "--labeled", str(work / "labeled.csv")] + extra) == 0
+        summaries.append((out / "class_summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert len(summaries[0].splitlines()) > 1
+
+
+class _Built(Exception):
+    """Raised by a stand-in stage callee, carrying the settings it was given."""
+
+
+@pytest.mark.parametrize(
+    "argv, module, callee, position",
+    [
+        (["synth", "--out-dir", "{w}/fx2", "--n-per-class", "7", "--planted", "3",
+          "--timeline-len", "5", "--noise", "0.2", "--seed", "9", "--two-refute", "2"],
+         synth, "generate", 0),
+        (["label", "--stats", "{w}/stats.csv", "--out", "{w}/l2.csv", "--min-fabricated", "3",
+          "--min-fraction", "0.1", "--min-refutes", "4", "--min-refutes-balance", "3",
+          "--no-balance"],
+         behavior, "build_labeled_dataset", 1),
+        (_TRAIN[:-2] + ["--l2", "2", "--max-iters", "50", "--tol", "1e-5", "--seed", "3",
+                        "--repeats", "2"],
+         model_mod, "train_and_validate", 2),
+    ],
+    ids=["synth", "label", "train"],
+)
+def test_a_flag_sets_every_settings_field(pipeline_dir, monkeypatch, argv, module, callee,
+                                          position):
+    def capture(*args, **kwargs):
+        raise _Built(args[position])
+
+    monkeypatch.setattr(module, callee, capture)
+    with pytest.raises(_Built) as built:
+        main([arg.format(w=pipeline_dir / "work") for arg in argv])
+    config = built.value.args[0]
+    unset = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) == f.default]
+    assert unset == []
 
 
 @settings(max_examples=30, deadline=None)
