@@ -328,13 +328,21 @@ def cmd_report(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    two_refute = args.two_refute
+    if two_refute is None:
+        two_refute = min(synth.SyntheticSpec.two_refute_debunkers, args.n_per_class)
+    elif not 0 <= two_refute <= args.n_per_class:
+        raise ValueError(
+            f"--two-refute must be within the class size 0..{args.n_per_class} "
+            f"(--n-per-class), got {two_refute}"
+        )
     spec = synth.SyntheticSpec(
         n_per_class=args.n_per_class,
         planted_per_class=args.planted,
         timeline_len=args.timeline_len,
         label_noise=args.noise,
         seed=args.seed,
-        two_refute_debunkers=min(args.two_refute, args.n_per_class),
+        two_refute_debunkers=two_refute,
     )
     paths = synth.generate(spec, args.out_dir)
     print(
@@ -455,7 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--timeline-len", type=int, default=40)
     synth_p.add_argument("--noise", type=float, default=0.05)
     synth_p.add_argument("--seed", type=int, default=0)
-    synth_p.add_argument("--two-refute", type=int, default=216)
+    synth_p.add_argument(
+        "--two-refute", type=int,
+        help="debunkers with exactly two refutes (default: 216, or the class size if smaller)",
+    )
     synth_p.set_defaults(func=cmd_synth)
 
     return parser

@@ -2,9 +2,11 @@
 the two-sample statistics used to contrast the labeled classes.
 
 Training minimizes the L2-regularized logistic loss with LIBLINEAR's
-trust-region Newton method (Lin, Weng & Keerthi, JMLR 2008; scipy's ``trust-ncg``)
-on exact Hessian-vector products. Reproducible coefficients are the point; there
-is no stochastic path.
+trust-region Newton method (Lin, Weng & Keerthi, JMLR 2008) on exact
+Hessian-vector products. The solver, :func:`_trust_ncg`, is this module's port
+of scipy's ``trust-ncg`` (its trust-region driver and Steihaug CG subproblem,
+scipy 1.17) and takes the same steps, so no stage imports ``scipy.optimize``.
+Reproducible coefficients are the point; there is no stochastic path.
 
 The ``train`` stage fits on distinct columns (:func:`distinct_columns`): each
 group of k identical columns becomes one column scaled by √k, and a weight v
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -110,6 +113,84 @@ def hessian_product(
     return np.append(np.asarray(X.T @ u).ravel() + (l2_strength / n) * v[:-1], u.sum())
 
 
+def _boundary_steps(z: np.ndarray, d: np.ndarray, radius: float) -> list[float]:
+    """Both t with ||z + t d|| = radius, low to high (the cancellation-free root pair)."""
+    a = np.dot(d, d)
+    b = 2 * np.dot(z, d)
+    c = np.dot(z, z) - radius**2
+    aux = b + math.copysign(math.sqrt(b * b - 4 * a * c), b)
+    return sorted([-aux / (2 * a), -2 * c / aux])
+
+
+def _steihaug_cg(g: np.ndarray, g_norm: float, hessp, model, radius: float):
+    """A step p with ||p|| <= radius that lowers ``model(p)``, the quadratic
+    model f + g.p + p.Hp/2 with ``hessp(v)`` = Hv: Steihaug's conjugate
+    gradients (Nocedal & Wright, 2nd ed., Alg. 7.2). Returns the step and
+    whether it ends on the boundary."""
+    tolerance = min(0.5, math.sqrt(g_norm)) * g_norm
+    # scipy's early return for ||g|| < tolerance is left out: it cannot fire for ||g|| > 0.
+    z, r, d = np.zeros_like(g), g, -g
+    while True:
+        Bd = hessp(d)
+        dBd = np.dot(d, Bd)
+        if dBd <= 0:
+            # Non-positive curvature: of the two boundary points along d, the lower model.
+            ta, tb = _boundary_steps(z, d, radius)
+            pa, pb = z + ta * d, z + tb * d
+            return (pa if model(pa) < model(pb) else pb), True
+        r_squared = np.dot(r, r)
+        alpha = r_squared / dBd
+        z_next = z + alpha * d
+        if np.linalg.norm(z_next) >= radius:
+            return z + _boundary_steps(z, d, radius)[1] * d, True
+        r_next = r + alpha * Bd
+        r_next_squared = np.dot(r_next, r_next)
+        if math.sqrt(r_next_squared) < tolerance:
+            return z_next, False
+        d = -r_next + (r_next_squared / r_squared) * d
+        z, r = z_next, r_next
+
+
+def _trust_ncg(fun, hessp, x: np.ndarray, gtol: float, maxiter: int):
+    """Minimize ``fun(x) -> (value, gradient)`` by trust-region Newton-CG, given
+    ``hessp(x, v)``, the Hessian at x times v.
+
+    A port of scipy's ``_minimize_trust_region`` driver with its
+    ``CGSteihaugSubproblem`` (scipy 1.17, ``method="trust-ncg"``), in the same
+    arithmetic and branch order: radius 1 at the start and at most 1000, a
+    step accepted when its actual/predicted reduction exceeds 0.15. Returns the
+    last accepted point, its gradient, and the value at the start followed by
+    the value after each accepted step."""
+    radius = 1.0
+    f, g = fun(x)
+    g_norm = np.linalg.norm(g)
+    values = [f]
+    k = 0
+    while g_norm >= gtol and k < maxiter:
+        hp = partial(hessp, x)
+
+        def model(p: np.ndarray) -> float:
+            return f + np.dot(g, p) + 0.5 * np.dot(p, hp(p))
+
+        p, on_boundary = _steihaug_cg(g, g_norm, hp, model, radius)
+        predicted_reduction = f - model(p)
+        if predicted_reduction <= 0:
+            break
+        x_next = x + p
+        f_next, g_next = fun(x_next)
+        rho = (f - f_next) / predicted_reduction
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2 * radius, 1000.0)
+        if rho > 0.15:
+            x, f, g = x_next, f_next, g_next
+            g_norm = np.linalg.norm(g)
+            values.append(f)
+        k += 1
+    return x, g, values
+
+
 def train_logit(
     X, y, hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS, start: np.ndarray | None = None
 ) -> LogitModel:
@@ -118,8 +199,6 @@ def train_logit(
     ``start`` holds the weights then the bias to start from (zeros by default);
     ``loss_history`` begins with the loss there and gains one entry per
     accepted step."""
-    from scipy.optimize import minimize
-
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     if n != len(y):
@@ -141,26 +220,17 @@ def train_logit(
         loss, grad_w, grad_b = loss_and_grad(theta[:-1], theta[-1], X, y, l2)
         return loss, np.append(grad_w, grad_b)
 
-    history = [loss_and_grad(theta0[:-1], theta0[-1], X, y, l2)[0]]
-
-    def record(intermediate_result) -> None:
-        # Called after every iteration; a rejected step leaves the loss as is.
-        if intermediate_result.fun < history[-1]:
-            history.append(float(intermediate_result.fun))
-
-    result = minimize(
+    theta, grad, history = _trust_ncg(
         loss_and_gradient,
-        theta0,
-        method="trust-ncg",
-        jac=True,
         # The curvature is taken at ``theta`` itself, never cached from the last
-        # loss call: trust-ncg evaluates rejected trial points in between.
-        hessp=lambda theta, v: hessian_product(theta[:-1], theta[-1], X, y, l2, v),
-        callback=record,
-        options={"gtol": hyperparams.tolerance, "maxiter": hyperparams.max_iters},
+        # loss call: the solver evaluates rejected trial points in between.
+        lambda theta, v: hessian_product(theta[:-1], theta[-1], X, y, l2, v),
+        theta0,
+        hyperparams.tolerance,
+        hyperparams.max_iters,
     )
-    w, b = result.x[:-1], float(result.x[-1])
-    grad_norm = float(np.linalg.norm(result.jac))
+    w, b = theta[:-1], float(theta[-1])
+    grad_norm = float(np.linalg.norm(grad))
     converged = grad_norm <= hyperparams.tolerance
 
     if not converged:
@@ -358,8 +428,11 @@ def top_coefficients(model: LogitModel, space: FeatureSpace, k: int = 100) -> Co
     if model.n_columns != space.n_columns:
         raise ValueError("model and feature space have different column counts")
     w = model.weights
-    pos = sorted((i for i in range(len(w)) if w[i] > 0), key=lambda i: (-w[i], i))[:k]
-    neg = sorted((i for i in range(len(w)) if w[i] < 0), key=lambda i: (w[i], i))[:k]
+    # Strongest first, ties by column index: lexsort's last key is the primary one.
+    pos = np.flatnonzero(w > 0)
+    pos = pos[np.lexsort((pos, -w[pos]))][:k].tolist()
+    neg = np.flatnonzero(w < 0)
+    neg = neg[np.lexsort((neg, w[neg]))][:k].tolist()
     return CoefficientReport(
         top_positive=tuple((space.pair_of(i), float(w[i])) for i in pos),
         top_negative=tuple((space.pair_of(i), float(w[i])) for i in neg),

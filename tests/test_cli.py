@@ -293,10 +293,30 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "scipy" not in sys.modules, "a stage before train imported scipy"
 """
 
+# Runs the stages after `label` on its output; the fit is the solver's own.
+_FIT_STAGES_RUN = """
+import contextlib, io, sys
+from quotematch.cli import main
+fx, out = sys.argv[1], sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["features", "--ties", fx + "/ties.csv", "--labeled", out + "/labeled.csv",
+         "--out-space", out + "/space.json", "--out-vectors", out + "/vectors.jsonl"],
+        ["train", "--space", out + "/space.json", "--vectors", out + "/vectors.jsonl",
+         "--labeled", out + "/labeled.csv", "--out-model", out + "/model.json",
+         "--out-metrics", out + "/metrics.csv", "--repeats", "3"],
+        ["report", "--model", out + "/model.json", "--space", out + "/space.json",
+         "--out-dir", out + "/report"],
+    ):
+        assert main(argv) == 0, argv
+assert "scipy.special" in sys.modules, "train did not fit"
+assert "scipy.optimize" not in sys.modules, "a stage imported scipy.optimize"
+"""
 
-def _run_stages(fx: Path, out: Path, **env) -> subprocess.CompletedProcess:
+
+def _run_stages(fx: Path, out: Path, script: str = _STAGES_RUN, **env) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
-    return subprocess.run([sys.executable, "-c", _STAGES_RUN, str(fx), str(out)], env=env,
+    return subprocess.run([sys.executable, "-c", script, str(fx), str(out)], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -324,6 +344,17 @@ def test_stages_before_train_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # The stages' output went to the redirect, so import and exit printed nothing.
     assert proc.stdout == ""
+
+
+def test_fit_stages_do_not_import_scipy_optimize(tmp_path):
+    fx = tmp_path / "fx"
+    assert main(["synth", "--out-dir", str(fx), "--n-per-class", "8",
+                 "--timeline-len", "8", "--seed", "2", "--two-refute", "3"]) == 0
+    for script in (_STAGES_RUN, _FIT_STAGES_RUN):
+        proc = _run_stages(fx, tmp_path, script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+    assert (tmp_path / "report" / "top_coefficients.csv").is_file()
 
 
 def test_scan_empty_timelines_dir(tmp_path):
@@ -394,6 +425,25 @@ def test_synth_determinism_byte_identical(tmp_path):
     for out in (a, b):
         assert main(["synth", "--out-dir", str(out), "--n-per-class", "8",
                      "--timeline-len", "12", "--seed", "21", "--two-refute", "3"]) == 0
+    assert _tree_bytes(a) == _tree_bytes(b)
+
+
+@pytest.mark.parametrize("two_refute", ["500", "4", "-1"])
+def test_synth_rejects_two_refute_outside_the_class(tmp_path, capsys, two_refute):
+    rc = main(["synth", "--out-dir", str(tmp_path / "fx"), "--n-per-class", "3",
+               "--two-refute", two_refute])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "--two-refute" in err and "0..3" in err and two_refute in err
+    assert not (tmp_path / "fx").exists()
+
+
+def test_synth_default_two_refute_fits_a_small_class(tmp_path):
+    # The default, 216, is cut to the class size when that is smaller.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["synth", "--out-dir", str(a), "--n-per-class", "3", "--seed", "5"]) == 0
+    assert main(["synth", "--out-dir", str(b), "--n-per-class", "3", "--seed", "5",
+                 "--two-refute", "3"]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
 
 

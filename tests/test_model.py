@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import minimize, rosen, rosen_der, rosen_hess_prod
 
 from quotematch.features import (
     TieKind, build_feature_space, encode_users, read_ties_csv, tie_table, to_csr,
@@ -21,6 +24,7 @@ from quotematch.model import (
     top_coefficients,
     train_and_validate,
     train_logit,
+    _trust_ncg,
 )
 from quotematch.synth import SyntheticSpec, generate
 
@@ -232,6 +236,16 @@ def test_top_coefficients_example():
     assert report.top_positive[0][0] == ("t000", TieKind.FOLLOW)
 
 
+def test_top_coefficients_equal_weights_break_ties_by_column():
+    space = _space(7)
+    model = train_logit(np.eye(7)[np.arange(8) % 7], np.array([1.0, -1.0] * 4), HP)
+    model.weights = np.array([0.5, -1.0, 2.0, 0.5, -1.0, 0.0, 0.5])
+    report = top_coefficients(model, space, k=3)
+    assert [(t, w) for (t, _), w in report.top_positive] == [
+        ("t002", 2.0), ("t000", 0.5), ("t003", 0.5)]
+    assert [(t, w) for (t, _), w in report.top_negative] == [("t001", -1.0), ("t004", -1.0)]
+
+
 def test_top_coefficients_k_zero():
     space = _space(2)
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -433,3 +447,94 @@ def test_loss_history_starts_at_the_start():
                         start=_theta(cold))
     assert again.converged and len(again.loss_history) == 1
     assert np.array_equal(_theta(again), _theta(cold))
+
+
+# ---------------------------------------------------------------------------
+# The solver against scipy's trust-ncg, which it ports
+
+
+def _scipy_trust_ncg(fun_and_grad, hessp, x0, gtol, maxiter):
+    """scipy's ``minimize(method="trust-ncg")``: its result and the value at
+    the start followed by the value after each accepted step."""
+    values = [fun_and_grad(x0)[0]]
+
+    def record(intermediate_result):
+        # Called after every iteration; a rejected step leaves the value as is.
+        if intermediate_result.fun < values[-1]:
+            values.append(intermediate_result.fun)
+
+    result = minimize(fun_and_grad, x0, method="trust-ncg", jac=True, hessp=hessp,
+                      callback=record, options={"gtol": gtol, "maxiter": maxiter})
+    return result, values
+
+
+def _logistic_problem(seed, separable=False):
+    rng = np.random.default_rng(seed)
+    n, d = 60, 25
+    X = (rng.random((n, d)) < 0.3) * rng.uniform(0.5, 2.0, (n, d))
+    if separable:
+        y = np.where(X[:, 0] > X[:, 1], 1.0, -1.0)
+        X[:, 0], X[:, 1] = (y > 0) * 1.5, (y < 0) * 0.8
+    else:
+        y = np.where(X[:, :5].sum(axis=1) + rng.normal(0, 1, n) > 1.5, 1.0, -1.0)
+    return X, y
+
+
+@pytest.mark.parametrize(
+    "as_matrix,l2,separable,warm,max_iters",
+    [
+        (np.asarray, 1.0, False, False, 5000),
+        (sparse.csr_matrix, 1.0, False, False, 5000),
+        (np.asarray, 0.0, True, False, 5000),
+        (sparse.csr_matrix, 0.0, True, False, 5000),
+        (np.asarray, 1.0, False, True, 5000),
+        (sparse.csr_matrix, 0.1, False, True, 5000),
+        (np.asarray, 1.0, False, False, 1),
+        (sparse.csr_matrix, 0.0, True, True, 1),
+    ],
+    ids=["dense", "csr", "dense-l2-0", "csr-l2-0", "warm", "csr-warm", "one-iter", "csr-one-iter"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_logit_takes_scipys_trust_ncg_steps(as_matrix, l2, separable, warm, max_iters, seed):
+    X, y = _logistic_problem(seed, separable)
+    X = as_matrix(X)
+    hp = LogitHyperparams(l2_strength=l2, max_iters=max_iters, tolerance=1e-6)
+    start = None
+    if warm:
+        start = np.random.default_rng(seed + 100).normal(0.0, 0.5, X.shape[1] + 1)
+
+    def fun_and_grad(theta):
+        value, grad_w, grad_b = loss_and_grad(theta[:-1], theta[-1], X, y, l2)
+        return value, np.append(grad_w, grad_b)
+
+    def hessp(theta, v):
+        return hessian_product(theta[:-1], theta[-1], X, y, l2, v)
+
+    x0 = np.zeros(X.shape[1] + 1) if start is None else start.copy()
+    expected, values = _scipy_trust_ncg(fun_and_grad, hessp, x0, hp.tolerance, max_iters)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = train_logit(X, y, hp, start)
+    assert len(model.loss_history) == len(values) > 1
+    np.testing.assert_allclose(model.loss_history, values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_theta(model), expected.x, rtol=0, atol=1e-12)
+    assert model.converged == expected.success
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(warned) == (not model.converged)
+    if max_iters == 1:
+        assert not model.converged and "gradient norm" in str(warned[0].message)
+
+
+@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 2.0], [-0.5, 1.5, 0.7, -1.0], [1.3, 0.7, 0.8, 1.9]])
+def test_trust_ncg_matches_scipy_on_an_indefinite_hessian(x0):
+    """Rosenbrock's Hessian is indefinite away from the valley, so the CG
+    steps meet non-positive curvature as well as the region's boundary."""
+    x0 = np.array(x0)
+    expected, values = _scipy_trust_ncg(lambda x: (rosen(x), rosen_der(x)), rosen_hess_prod,
+                                        x0, 1e-8, 200)
+    x, grad, ours = _trust_ncg(lambda x: (rosen(x), rosen_der(x)), rosen_hess_prod,
+                               x0.copy(), 1e-8, 200)
+    assert len(ours) == len(values) > 1
+    np.testing.assert_allclose(ours, values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x, expected.x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, expected.jac, rtol=0, atol=1e-12)
