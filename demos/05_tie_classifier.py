@@ -10,7 +10,6 @@ from quotematch.features import (
     TieKind,
     build_feature_space,
     encode_users,
-    kind_counts,
     tie_table,
     to_csr,
 )
@@ -20,7 +19,6 @@ from quotematch.model import (
     distinct_columns,
     top_coefficients,
     train_and_validate,
-    welch_t_test,
 )
 
 rng = np.random.default_rng(3)
@@ -79,12 +77,3 @@ print("\ncategory distribution of top coefficients:")
 for side, counts in categorize_report(report, category_map).items():
     print(f"  {side}: {dict(sorted(counts.items()))}")
 
-# Welch's t-test contrasts interaction volumes between the groups.
-per_user = kind_counts(table)  # distinct ties per kind
-pos_ties = [sum(per_user[v.user_id]) for v in vectors if labels[v.user_id] > 0]
-neg_ties = [sum(per_user[v.user_id]) for v in vectors if labels[v.user_id] < 0]
-result = welch_t_test(pos_ties, neg_ties)
-print(
-    f"\nWelch's t-test on tie counts: t={result.t_statistic:.3f}, "
-    f"df={result.degrees_of_freedom:.1f}, p={result.p_value:.4f}"
-)

@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Iterable, Iterator, Sequence
 
@@ -32,13 +33,15 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-class TieKind(Enum):
+class TieKind(str, Enum):
+    """A kind is its label: a member equals, hashes, sorts and JSON-encodes as
+    its label, so ``("page", "follow")`` finds the same column as
+    ``("page", TieKind.FOLLOW)``. Where a kind is written as text, use
+    ``.value``: on Python 3.11 ``str()`` and f-strings give ``TieKind.FOLLOW``."""
+
     FOLLOW = "follow"
     RETWEET_AUTHOR = "retweet"
     LIKE_AUTHOR = "like"
-
-    # Members are singletons; Enum's own __hash__ is a Python call on every tie read.
-    __hash__ = object.__hash__
 
 
 Tie = tuple[str, str, TieKind]  # (user_id, target_id, kind)
@@ -52,7 +55,7 @@ _TIES_HEADER = ["user_id", "target_id", "kind"]
 class TieTable:
     """Distinct ties: tie ``i`` is ``users[user[i]]`` -> ``pairs[pair[i]]``.
 
-    ``users`` is sorted, ``pairs`` is sorted by (target, kind value), and the
+    ``users`` is sorted, ``pairs`` is sorted by (target, kind), and the
     ties by (user, pair) code, so code order is output order. Self-ties are
     kept; the feature encoders skip them. A restricted table keeps the whole
     vocabularies, so some users and pairs may have no tie."""
@@ -91,7 +94,7 @@ def tie_table(ties: Iterable[Tie]) -> TieTable:
         codes.append(user_code.setdefault(user_id, len(user_code)))
         codes.append(pair_code.setdefault((target_id, kind), len(pair_code)))
     user_names = sorted(user_code)
-    pair_names = sorted(pair_code, key=lambda pair: (pair[0], pair[1].value))
+    pair_names = sorted(pair_code)
     # argsort inverts "sorted position -> code", giving each code its sorted rank.
     user_rank = np.argsort([user_code[u] for u in user_names])
     pair_rank = np.argsort([pair_code[p] for p in pair_names])
@@ -130,10 +133,10 @@ class FeatureSpace:
 
     @cached_property
     def manifest_hash(self) -> str:
-        return _manifest_hash([[t, k.value] for t, k in self.columns])
+        return _manifest_hash(self.columns)
 
 
-def _manifest_hash(columns: list[list[str]]) -> str:
+def _manifest_hash(columns: Sequence[Sequence[str]]) -> str:
     """sha256 of the ``[[target, kind label], ...]`` column list as compact JSON."""
     payload = json.dumps(columns, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -193,18 +196,16 @@ def kind_counts(ties: TieTable) -> dict[str, tuple[int, ...]]:
 
 def to_csr(vectors: Sequence[FeatureVector], n_columns: int) -> sparse.csr_matrix:
     """Stack binary vectors into a CSR matrix with one row per vector."""
-    from scipy import sparse  # local for the reason in model.loss_and_grad
+    # Local import: of the CLI stages only `train` needs scipy (~0.2 s to import).
+    from scipy import sparse
 
-    indptr = [0]
-    indices: list[int] = []
-    for v in vectors:
-        indices.extend(v.columns)
-        indptr.append(len(indices))
-    data = np.ones(len(indices), dtype=np.float64)
-    return sparse.csr_matrix(
-        (data, np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), n_columns),
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([len(v.columns) for v in vectors], out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(v.columns for v in vectors), dtype=np.int64, count=int(indptr[-1])
     )
+    data = np.ones(len(indices), dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), n_columns))
 
 
 def _csv_ties(path: str | Path) -> Iterator[Tie]:
@@ -241,7 +242,7 @@ def save_space(
         "ties_hash": ties_hash,
         "kind_counts": kind_counts or {},
         "manifest_hash": space.manifest_hash,
-        "columns": [[t, k.value] for t, k in space.columns],
+        "columns": space.columns,
         "support": list(space.support),
     })
 

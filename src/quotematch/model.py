@@ -1,12 +1,16 @@
-"""Logistic-regression tie classifier, evaluation, coefficient reports, and
-the two-sample statistics used to contrast the labeled classes.
+"""Logistic-regression tie classifier, evaluation and coefficient reports.
 
 Training minimizes the L2-regularized logistic loss with LIBLINEAR's
 trust-region Newton method (Lin, Weng & Keerthi, JMLR 2008) on exact
 Hessian-vector products. The solver, :func:`_trust_ncg`, is this module's port
 of scipy's ``trust-ncg`` (its trust-region driver and Steihaug CG subproblem,
 scipy 1.17) and takes the same steps, so no stage imports ``scipy.optimize``.
-Reproducible coefficients are the point; there is no stochastic path.
+Its objective, :func:`_logistic_objective`, maps a point to its loss, its
+gradient and ``hessp``, the Hessian there times a vector. The Hessian depends
+on the point only through the curvature weights p(1 - p) of its margins, so
+each point computes them once and every CG step of the subproblem solved at
+that point reuses them. Reproducible coefficients are the point; there is no
+stochastic path.
 
 The ``train`` stage fits on distinct columns (:func:`distinct_columns`): each
 group of k identical columns becomes one column scaled by √k, and a weight v
@@ -27,8 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -76,41 +79,37 @@ class LogitModel:
         return len(self.weights)
 
 
-def _margins(weights: np.ndarray, bias: float, X, y: np.ndarray) -> np.ndarray:
-    return y * (np.asarray(X @ weights).ravel() + bias)
+def _logistic_objective(X, y: np.ndarray, l2_strength: float):
+    """The mean logistic loss of labels ``y`` in {+1, -1} plus (l2/2N)||w||^2,
+    as ``objective(theta) -> (loss, gradient, hessp)`` with theta the weights
+    then the bias (unregularized).
 
-
-def loss_and_grad(
-    weights: np.ndarray, bias: float, X, y: np.ndarray, l2_strength: float
-) -> tuple[float, np.ndarray, float]:
-    """Loss plus its analytic gradient in (weights, bias)."""
-    # Local scipy imports: of the CLI stages only `train` needs it (~0.2 s to import).
+    At the margins ``m = y (X w + b)``, ``hessp(v)`` for ``v = (v_w, v_b)`` is
+    ``(X^T u + (l2/N) v_w, sum(u))`` with ``u = p(1 - p) (X v_w + v_b) / N`` and
+    ``p = sigmoid(m)``; the weights ``p(1 - p)`` are computed once per point."""
+    # Local scipy import: of the CLI stages only `train` needs it (~0.2 s to import).
     from scipy.special import expit
 
     n = X.shape[0]
-    m = _margins(weights, bias, X, y)
-    loss = float(
-        np.logaddexp(0.0, -m).sum() / n + 0.5 * l2_strength * float(weights @ weights) / n
-    )
-    r = y * expit(-m)  # d/dz of log(1+exp(-y z)) is -y*sigmoid(-y z)
-    grad_w = -np.asarray(X.T @ r).ravel() / n + (l2_strength / n) * weights
-    grad_b = -float(r.sum()) / n
-    return loss, grad_w, grad_b
 
+    def objective(theta: np.ndarray):
+        w = theta[:-1]
+        m = y * (np.asarray(X @ w).ravel() + theta[-1])
+        loss = float(np.logaddexp(0.0, -m).sum() / n + 0.5 * l2_strength * float(w @ w) / n)
+        r = y * expit(-m)  # d/dz of log(1+exp(-y z)) is -y*sigmoid(-y z)
+        grad = np.append(
+            -np.asarray(X.T @ r).ravel() / n + (l2_strength / n) * w, -float(r.sum()) / n
+        )
+        p = expit(m)
+        curvature = p * (1.0 - p)
 
-def hessian_product(
-    weights: np.ndarray, bias: float, X, y: np.ndarray, l2_strength: float, v: np.ndarray
-) -> np.ndarray:
-    """Hessian of the loss at (weights, bias) times ``v = (v_w, v_b)``.
+        def hessp(v: np.ndarray) -> np.ndarray:
+            u = curvature * (np.asarray(X @ v[:-1]).ravel() + v[-1]) / n
+            return np.append(np.asarray(X.T @ u).ravel() + (l2_strength / n) * v[:-1], u.sum())
 
-    ``D = sigmoid(m)(1 - sigmoid(m))`` at the margins ``m`` and ``u = D (X v_w + v_b) / N``
-    give ``(X^T u + (l2/N) v_w, sum(u))``; the bias is unregularized."""
-    from scipy.special import expit
+        return loss, grad, hessp
 
-    n = X.shape[0]
-    p = expit(_margins(weights, bias, X, y))
-    u = p * (1.0 - p) * (np.asarray(X @ v[:-1]).ravel() + v[-1]) / n
-    return np.append(np.asarray(X.T @ u).ravel() + (l2_strength / n) * v[:-1], u.sum())
+    return objective
 
 
 def _boundary_steps(z: np.ndarray, d: np.ndarray, radius: float) -> list[float]:
@@ -151,40 +150,41 @@ def _steihaug_cg(g: np.ndarray, g_norm: float, hessp, model, radius: float):
         z, r = z_next, r_next
 
 
-def _trust_ncg(fun, hessp, x: np.ndarray, gtol: float, maxiter: int):
-    """Minimize ``fun(x) -> (value, gradient)`` by trust-region Newton-CG, given
-    ``hessp(x, v)``, the Hessian at x times v.
+def _trust_ncg(fun, x: np.ndarray, gtol: float, maxiter: int):
+    """Minimize ``fun(x) -> (value, gradient, hessp)`` by trust-region
+    Newton-CG, where ``hessp(v)`` is the Hessian at x times v.
 
-    A port of scipy's ``_minimize_trust_region`` driver with its
+    Each subproblem is solved at the last accepted point with that point's
+    ``hessp``, and a rejected trial point's ``hessp`` is never called, so
+    ``hessp`` may hold what the curvature at its own point needs. A port of
+    scipy's ``_minimize_trust_region`` driver with its
     ``CGSteihaugSubproblem`` (scipy 1.17, ``method="trust-ncg"``), in the same
     arithmetic and branch order: radius 1 at the start and at most 1000, a
     step accepted when its actual/predicted reduction exceeds 0.15. Returns the
     last accepted point, its gradient, and the value at the start followed by
     the value after each accepted step."""
     radius = 1.0
-    f, g = fun(x)
+    f, g, hessp = fun(x)
     g_norm = np.linalg.norm(g)
     values = [f]
     k = 0
     while g_norm >= gtol and k < maxiter:
-        hp = partial(hessp, x)
-
         def model(p: np.ndarray) -> float:
-            return f + np.dot(g, p) + 0.5 * np.dot(p, hp(p))
+            return f + np.dot(g, p) + 0.5 * np.dot(p, hessp(p))
 
-        p, on_boundary = _steihaug_cg(g, g_norm, hp, model, radius)
+        p, on_boundary = _steihaug_cg(g, g_norm, hessp, model, radius)
         predicted_reduction = f - model(p)
         if predicted_reduction <= 0:
             break
         x_next = x + p
-        f_next, g_next = fun(x_next)
+        f_next, g_next, hessp_next = fun(x_next)
         rho = (f - f_next) / predicted_reduction
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and on_boundary:
             radius = min(2 * radius, 1000.0)
         if rho > 0.15:
-            x, f, g = x_next, f_next, g_next
+            x, f, g, hessp = x_next, f_next, g_next, hessp_next
             g_norm = np.linalg.norm(g)
             values.append(f)
         k += 1
@@ -214,17 +214,8 @@ def train_logit(
     if theta0.shape != (d + 1,):
         raise ValueError(f"start has shape {theta0.shape}, expected ({d + 1},): weights then bias")
 
-    l2 = hyperparams.l2_strength
-
-    def loss_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad_w, grad_b = loss_and_grad(theta[:-1], theta[-1], X, y, l2)
-        return loss, np.append(grad_w, grad_b)
-
     theta, grad, history = _trust_ncg(
-        loss_and_gradient,
-        # The curvature is taken at ``theta`` itself, never cached from the last
-        # loss call: the solver evaluates rejected trial points in between.
-        lambda theta, v: hessian_product(theta[:-1], theta[-1], X, y, l2, v),
+        _logistic_objective(X, y, hyperparams.l2_strength),
         theta0,
         hyperparams.tolerance,
         hyperparams.max_iters,
@@ -457,12 +448,7 @@ def save_model(model: LogitModel, path: str | Path, space_hash: str) -> None:
         "space_hash": space_hash,
         "weights": [float(w) for w in model.weights],
         "bias": model.bias,
-        "hyperparams": {
-            "l2_strength": model.hyperparams.l2_strength,
-            "max_iters": model.hyperparams.max_iters,
-            "tolerance": model.hyperparams.tolerance,
-            "seed": model.hyperparams.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "converged": model.converged,
         "final_grad_norm": model.final_grad_norm,
     }
@@ -485,35 +471,3 @@ def load_model(path: str | Path) -> tuple[LogitModel, str]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, payload["space_hash"]
-
-
-# ---------------------------------------------------------------------------
-# Welch's t-test
-
-
-@dataclass(frozen=True)
-class WelchResult:
-    t_statistic: float
-    degrees_of_freedom: float
-    p_value: float
-
-
-def welch_t_test(a, b) -> WelchResult:
-    """Two-sided Welch's t-test (unequal variances, Welch-Satterthwaite df)."""
-    from scipy.special import betainc
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("each sample needs at least 2 observations")
-    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
-    if va == 0.0 or vb == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    na, nb = len(a), len(b)
-    sa, sb = va / na, vb / nb
-    se2 = sa + sb
-    t = (float(a.mean()) - float(b.mean())) / math.sqrt(se2)
-    df = se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
-    # Two-sided p from the t-distribution survival function via I_x(df/2, 1/2).
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return WelchResult(t_statistic=t, degrees_of_freedom=df, p_value=min(max(p, 0.0), 1.0))

@@ -536,6 +536,16 @@ def test_report_space_mismatch_exit_3(tmp_path, capsys):
     assert "feature space" in capsys.readouterr().err
 
 
+def test_kind_columns_hold_kind_labels(pipeline_dir):
+    # str() of a TieKind is "TieKind.FOLLOW"; files must hold the label.
+    labels = {"follow", "retweet", "like"}
+    ties = _csv_rows(pipeline_dir / "fx" / "ties.csv")
+    coefficients = _csv_rows(pipeline_dir / "work" / "report" / "top_coefficients.csv")
+    assert ties[0][2] == coefficients[0][3] == "kind"
+    assert {row[2] for row in ties[1:]} == labels
+    assert len(coefficients) > 1 and {row[3] for row in coefficients[1:]} <= labels
+
+
 def test_space_kind_counts_cover_users_outside_the_labeled_set(pipeline_dir, tmp_path):
     ties = tmp_path / "ties.csv"
     ties.write_text((pipeline_dir / "fx" / "ties.csv").read_text(encoding="utf-8")

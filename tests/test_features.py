@@ -162,6 +162,27 @@ def test_table_keeps_ids_distinct_by_trailing_nul():
     assert set(table) == {_tie("u", "t"), _tie("u", "t\x00"), _tie("u\x00", "t")}
 
 
+def test_a_kind_is_its_label():
+    assert TieKind.FOLLOW == "follow" and hash(TieKind.FOLLOW) == hash("follow")
+    ties = [
+        _tie("u", "page", TieKind.RETWEET_AUTHOR),
+        _tie("u", "page", TieKind.LIKE_AUTHOR),
+        _tie("u", "page"),
+        _tie("u", "pag", TieKind.RETWEET_AUTHOR),
+    ]
+    space = _space(ties)
+    assert space.column_of[("page", "follow")] == space.column_of[("page", TieKind.FOLLOW)]
+    # Pairs sort by target, then by kind label (follow < like < retweet), not
+    # by the order the kinds are declared in.
+    assert tie_table(ties).pairs == (
+        ("pag", TieKind.RETWEET_AUTHOR),
+        ("page", TieKind.FOLLOW),
+        ("page", TieKind.LIKE_AUTHOR),
+        ("page", TieKind.RETWEET_AUTHOR),
+    )
+    assert all(type(kind) is TieKind for _, kind in tie_table(ties).pairs)
+
+
 def test_kind_counts_distinct_ties_self_ties_included():
     ties = [
         _tie("u", "a"),

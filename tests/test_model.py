@@ -1,7 +1,9 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import sparse
 from scipy.optimize import minimize, rosen, rosen_der, rosen_hess_prod
 
@@ -16,21 +18,20 @@ from quotematch.model import (
     cross_validate,
     distinct_columns,
     evaluate,
-    hessian_product,
     load_model,
-    loss_and_grad,
     predict_labels,
     save_model,
     top_coefficients,
     train_and_validate,
     train_logit,
+    _logistic_objective,
     _trust_ncg,
 )
 from quotematch.synth import SyntheticSpec, generate
 
 
 def loss(w, b, X, y, l2):
-    return loss_and_grad(w, b, X, y, l2)[0]
+    return _logistic_objective(X, y, l2)(np.append(w, b))[0]
 
 
 HP = LogitHyperparams(l2_strength=0.1, max_iters=2000, tolerance=1e-8, seed=0)
@@ -111,7 +112,7 @@ def test_gradient_matches_finite_differences():
         w = rng.normal(size=d)
         b = float(rng.normal())
         l2 = float(rng.uniform(0.0, 2.0))
-        _, gw, gb = loss_and_grad(w, b, X, y, l2)
+        analytic = _logistic_objective(X, y, l2)(np.append(w, b))[1]
         eps = 1e-6
         fd = np.empty(d + 1)
         for j in range(d):
@@ -120,7 +121,6 @@ def test_gradient_matches_finite_differences():
             wm[j] -= eps
             fd[j] = (loss(wp, b, X, y, l2) - loss(wm, b, X, y, l2)) / (2 * eps)
         fd[d] = (loss(w, b + eps, X, y, l2) - loss(w, b - eps, X, y, l2)) / (2 * eps)
-        analytic = np.append(gw, gb)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-5
 
@@ -134,11 +134,11 @@ def test_hessian_product_matches_gradient_differences():
         w, b = rng.normal(size=d), float(rng.normal())
         v_w, v_b = rng.normal(size=d), float(rng.normal())
         l2 = float(rng.uniform(0.0, 2.0))
+        theta, v = np.append(w, b), np.append(v_w, v_b)
+        objective = _logistic_objective(X, y, l2)
         eps = 1e-6
-        _, gw_p, gb_p = loss_and_grad(w + eps * v_w, b + eps * v_b, X, y, l2)
-        _, gw_m, gb_m = loss_and_grad(w - eps * v_w, b - eps * v_b, X, y, l2)
-        fd = np.append(gw_p - gw_m, gb_p - gb_m) / (2 * eps)
-        analytic = hessian_product(w, b, X, y, l2, np.append(v_w, v_b))
+        fd = (objective(theta + eps * v)[1] - objective(theta - eps * v)[1]) / (2 * eps)
+        analytic = objective(theta)[2](v)
         assert np.linalg.norm(analytic - fd) <= 1e-6 * max(np.linalg.norm(analytic), 1.0)
 
 
@@ -150,8 +150,8 @@ def test_train_sparse_and_dense_agree_and_converge():
     assert dense.final_grad_norm <= HP.tolerance
     assert np.allclose(dense.weights, packed.weights, atol=1e-10)
     assert dense.bias == pytest.approx(packed.bias, abs=1e-10)
-    _, gw, gb = loss_and_grad(dense.weights, dense.bias, X, y, HP.l2_strength)
-    assert np.sqrt(gw @ gw + gb * gb) <= HP.tolerance
+    grad = _logistic_objective(X, y, HP.l2_strength)(_theta(dense))[1]
+    assert np.linalg.norm(grad) <= HP.tolerance
 
 
 def test_duplicating_example_never_flips_predictions():
@@ -453,10 +453,17 @@ def test_loss_history_starts_at_the_start():
 # The solver against scipy's trust-ncg, which it ports
 
 
-def _scipy_trust_ncg(fun_and_grad, hessp, x0, gtol, maxiter):
-    """scipy's ``minimize(method="trust-ncg")``: its result and the value at
-    the start followed by the value after each accepted step."""
-    values = [fun_and_grad(x0)[0]]
+def _scipy_trust_ncg(fun, x0, gtol, maxiter):
+    """scipy's ``minimize(method="trust-ncg")`` on ``fun(x) -> (value,
+    gradient, hessp)``: its result and the value at the start followed by the
+    value after each accepted step."""
+    values = [fun(x0)[0]]
+
+    def fun_and_grad(x):
+        return fun(x)[:2]
+
+    def hessp(x, v):
+        return fun(x)[2](v)
 
     def record(intermediate_result):
         # Called after every iteration; a rejected step leaves the value as is.
@@ -503,15 +510,10 @@ def test_train_logit_takes_scipys_trust_ncg_steps(as_matrix, l2, separable, warm
     if warm:
         start = np.random.default_rng(seed + 100).normal(0.0, 0.5, X.shape[1] + 1)
 
-    def fun_and_grad(theta):
-        value, grad_w, grad_b = loss_and_grad(theta[:-1], theta[-1], X, y, l2)
-        return value, np.append(grad_w, grad_b)
-
-    def hessp(theta, v):
-        return hessian_product(theta[:-1], theta[-1], X, y, l2, v)
-
     x0 = np.zeros(X.shape[1] + 1) if start is None else start.copy()
-    expected, values = _scipy_trust_ncg(fun_and_grad, hessp, x0, hp.tolerance, max_iters)
+    expected, values = _scipy_trust_ncg(
+        _logistic_objective(X, y, l2), x0, hp.tolerance, max_iters
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = train_logit(X, y, hp, start)
@@ -529,12 +531,52 @@ def test_train_logit_takes_scipys_trust_ncg_steps(as_matrix, l2, separable, warm
 def test_trust_ncg_matches_scipy_on_an_indefinite_hessian(x0):
     """Rosenbrock's Hessian is indefinite away from the valley, so the CG
     steps meet non-positive curvature as well as the region's boundary."""
+    def fun(x):
+        return rosen(x), rosen_der(x), partial(rosen_hess_prod, x)
+
     x0 = np.array(x0)
-    expected, values = _scipy_trust_ncg(lambda x: (rosen(x), rosen_der(x)), rosen_hess_prod,
-                                        x0, 1e-8, 200)
-    x, grad, ours = _trust_ncg(lambda x: (rosen(x), rosen_der(x)), rosen_hess_prod,
-                               x0.copy(), 1e-8, 200)
+    expected, values = _scipy_trust_ncg(fun, x0, 1e-8, 200)
+    x, grad, ours = _trust_ncg(fun, x0.copy(), 1e-8, 200)
     assert len(ours) == len(values) > 1
     np.testing.assert_allclose(ours, values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(x, expected.x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad, expected.jac, rtol=0, atol=1e-12)
+
+
+class _CountingMatrix:
+    """``X`` that counts its products ``X @ v`` and ``X.T @ v`` in ``counts``."""
+
+    def __init__(self, X, counts, key="X @"):
+        self.X, self.counts, self.key = X, counts, key
+        self.shape = X.shape
+
+    def __matmul__(self, v):
+        self.counts[self.key] += 1
+        return self.X @ v
+
+    @property
+    def T(self):
+        return _CountingMatrix(self.X.T, self.counts, "X.T @")
+
+
+def test_curvature_is_computed_once_per_point(monkeypatch):
+    """A Hessian product reuses the curvature weights of its point: it costs
+    one ``X @`` and one ``X.T @`` product and no ``expit``. Each objective
+    evaluation also costs one of each product, plus two ``expit`` calls."""
+    calls = {"expit": 0, "X @": 0, "X.T @": 0}
+    expit = scipy.special.expit
+
+    def counted_expit(z):
+        calls["expit"] += 1
+        return expit(z)
+
+    monkeypatch.setattr(scipy.special, "expit", counted_expit)
+    X, y = _logistic_problem(0)
+    model = train_logit(_CountingMatrix(sparse.csr_matrix(X), calls), y,
+                        LogitHyperparams(l2_strength=1.0, tolerance=1e-6))
+    assert model.converged and len(model.loss_history) > 2
+    # Recomputing the margins in each product would add one ``X @`` per product.
+    assert calls["X @"] == calls["X.T @"]
+    # Points and products each make one ``X.T @``; only points call ``expit``,
+    # twice, and a fit makes more products than points.
+    assert calls["expit"] % 2 == 0 and 0 < calls["expit"] < calls["X.T @"]
