@@ -272,48 +272,26 @@ def build_labeled_dataset(
     return labeled, report
 
 
-@dataclass(frozen=True)
-class InteractionCounts:
-    follows: int
-    retweets: int
-    likes: int
-    retweet_fraction: float
+SUMMARY_METRICS = ("follows", "retweets", "likes", "retweet_fraction")
 
 
 def interaction_summary(
-    counts: Mapping[str, InteractionCounts],
-    labels: Mapping[str, BehaviorLabel],
-) -> dict[BehaviorLabel, dict[str, dict[str, float]]]:
+    rows: Mapping[BehaviorLabel, Sequence[Sequence[float]]],
+) -> dict[BehaviorLabel, np.ndarray]:
     """Per-class distribution summary of interaction counts.
 
-    Returns, per label, mean/median/quartiles for follows, retweets, and
-    likes, plus the same for the retweet fraction. Every summarized user must
-    be labeled.
+    ``rows`` holds, per label, one row per user with the values named by
+    :data:`SUMMARY_METRICS`. Each label gets a 4x4 array: one row per metric
+    in that order, and the mean, median, first and third quartile as columns.
     """
-    missing = sorted(set(counts) - set(labels))
-    if missing:
-        raise ValueError(f"users without labels: {missing[:5]}")
-    by_label: dict[BehaviorLabel, list[InteractionCounts]] = {}
-    for user_id in sorted(counts):
-        by_label.setdefault(labels[user_id], []).append(counts[user_id])
-
-    def describe(values: list[float]) -> dict[str, float]:
-        arr = np.asarray(values, dtype=float)
-        return {
-            "mean": float(arr.mean()),
-            "median": float(np.median(arr)),
-            "q1": float(np.percentile(arr, 25)),
-            "q3": float(np.percentile(arr, 75)),
-        }
-
-    summary: dict[BehaviorLabel, dict[str, dict[str, float]]] = {}
-    for label, rows in by_label.items():
-        summary[label] = {
-            "follows": describe([r.follows for r in rows]),
-            "retweets": describe([r.retweets for r in rows]),
-            "likes": describe([r.likes for r in rows]),
-            "retweet_fraction": describe([r.retweet_fraction for r in rows]),
-        }
+    summary: dict[BehaviorLabel, np.ndarray] = {}
+    for label, users in rows.items():
+        # Each column is reduced on its own, as a 1-D array: a mean over
+        # axis 0 adds the values in another order and can change the last bit.
+        summary[label] = np.array([
+            [col.mean(), np.median(col), np.percentile(col, 25), np.percentile(col, 75)]
+            for col in np.asarray(users, dtype=float).T
+        ])
     return summary
 
 
@@ -346,10 +324,14 @@ def read_stats_csv(path: str | Path) -> list[tuple[UserStats, BehaviorLabel | No
     if header != list(STATS_CSV_FIELDS + ("label",)) and header != list(STATS_CSV_FIELDS):
         raise ValueError(f"{path}: unexpected stats CSV header {header}")
     out: list[tuple[UserStats, BehaviorLabel | None]] = []
+    seen: set[str] = set()
     for line_no, parts in rows:
         try:
             if len(parts) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
+            if parts[0] in seen:
+                raise ValueError(f"repeated user_id {parts[0]!r}")
+            seen.add(parts[0])
             stats = UserStats(
                 user_id=parts[0],
                 total_hadith=int(parts[1]),

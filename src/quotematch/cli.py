@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -226,16 +227,12 @@ def _load_xy(args) -> tuple:
     return space.manifest_hash, X, y
 
 
-def _write_metrics(metrics, path: str) -> None:
-    def cells(*values: float) -> list[str]:
-        return [f"{v:.6f}" for v in values]
-
-    c, d = metrics.per_class[1], metrics.per_class[-1]
+def _write_metrics(metrics: model_mod.Metrics, path: str) -> None:
+    cells = [f"{v:.6f}" for v in astuple(metrics)]
     write_csv(path, ("group", "accuracy", "precision", "recall", "f1"), [
-        ["Circulators", ""] + cells(c.precision, c.recall, c.f1),
-        ["Debunkers", ""] + cells(d.precision, d.recall, d.f1),
-        ["Macro"] + cells(metrics.accuracy, metrics.macro_precision, metrics.macro_recall,
-                          metrics.macro_f1),
+        ["Circulators", "", *cells[0:3]],
+        ["Debunkers", "", *cells[3:6]],
+        ["Macro", *cells[6:]],
     ])
 
 
@@ -304,21 +301,19 @@ def cmd_report(args) -> None:
             f"ties {args.ties} differ from the ties file {args.space} was built from"
         )
     if args.labeled:
-        counts_map, labels_map = {}, {}
-        for stats, label in behavior.read_stats_csv(_require(args.labeled)):
-            if label is None:
-                continue
-            # kind_counts is in TieKind order: follow, retweet, like.
-            counts_map[stats.user_id] = behavior.InteractionCounts(
-                *space.kind_counts.get(stats.user_id, (0, 0, 0)), stats.retweet_fraction
-            )
-            labels_map[stats.user_id] = label
-        summary = behavior.interaction_summary(counts_map, labels_map)
-        columns = ("mean", "median", "q1", "q3")
-        write_csv(out_dir / "class_summary.csv", ("label", "metric") + columns, (
-            [label.value, metric] + [f"{summary[label][metric][q]:.6f}" for q in columns]
+        rows: dict[BehaviorLabel, list[tuple]] = {}
+        labeled = behavior.read_stats_csv(_require(args.labeled))
+        for stats, label in sorted(labeled, key=lambda pair: pair[0].user_id):
+            if label is not None:
+                # kind_counts is in TieKind order: follow, retweet, like.
+                kinds = space.kind_counts.get(stats.user_id, (0, 0, 0))
+                rows.setdefault(label, []).append((*kinds, stats.retweet_fraction))
+        summary = behavior.interaction_summary(rows)
+        header = ("label", "metric", "mean", "median", "q1", "q3")
+        write_csv(out_dir / "class_summary.csv", header, (
+            [label.value, metric] + [f"{v:.6f}" for v in summary[label][i]]
             for label in sorted(summary, key=lambda l: l.value)
-            for metric in ("follows", "retweets", "likes", "retweet_fraction")
+            for i, metric in enumerate(behavior.SUMMARY_METRICS)
         ))
     print(f"report written to {out_dir}")
 

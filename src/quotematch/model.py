@@ -25,6 +25,9 @@ starts each cross-validation fold from it (:func:`train_and_validate`). For
 does not depend on the start; only where the fit stops within the gradient-norm
 tolerance moves. Cross-validation is the paper's 10 seeded, stratified 90/10
 splits; the 90/10 fraction is fixed, only the number of splits is a setting.
+Each fold scores its test rows with ten numbers (per-class precision, recall
+and F1, accuracy, and the macro averages: :class:`Metrics`), and
+cross-validation reports the mean of each over the folds.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -241,76 +244,40 @@ def train_logit(
     )
 
 
-def predict_labels(model: LogitModel, X) -> np.ndarray:
-    """Labels in {+1, -1}: +1 where the positive class's sigmoid probability is >= 0.5."""
-    from scipy.special import expit
-
-    if X.shape[1] != model.n_columns:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {model.n_columns}")
-    scores = expit(np.asarray(X @ model.weights).ravel() + model.bias)
-    return np.where(scores >= 0.5, 1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
 @dataclass(frozen=True)
 class Metrics:
+    """Scores in the order ``metrics.csv`` prints them; circulators are the
+    positive class (+1), debunkers the negative one (-1)."""
+
+    circulator_precision: float
+    circulator_recall: float
+    circulator_f1: float
+    debunker_precision: float
+    debunker_recall: float
+    debunker_f1: float
     accuracy: float
-    per_class: dict[int, ClassMetrics]
     macro_precision: float
     macro_recall: float
     macro_f1: float
 
 
-def _prf(y_true: np.ndarray, y_pred: np.ndarray, cls: float) -> ClassMetrics:
-    tp = int(np.sum((y_pred == cls) & (y_true == cls)))
-    fp = int(np.sum((y_pred == cls) & (y_true != cls)))
-    fn = int(np.sum((y_pred != cls) & (y_true == cls)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ClassMetrics(precision=precision, recall=recall, f1=f1)
+def _fold_scores(model: LogitModel, X, y: np.ndarray) -> tuple[float, ...]:
+    """One fold's ten scores in :class:`Metrics` order, predicting +1 where
+    the sigmoid of the margin is >= 0.5."""
+    from scipy.special import expit
 
-
-def compute_metrics(y_true, y_pred) -> Metrics:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    per_class = {int(c): _prf(y_true, y_pred, c) for c in (1.0, -1.0)}
-    return Metrics(
-        accuracy=float(np.mean(y_true == y_pred)),
-        per_class=per_class,
-        macro_precision=float(np.mean([m.precision for m in per_class.values()])),
-        macro_recall=float(np.mean([m.recall for m in per_class.values()])),
-        macro_f1=float(np.mean([m.f1 for m in per_class.values()])),
-    )
-
-
-def evaluate(model: LogitModel, X, y) -> Metrics:
-    """Confusion-matrix metrics at the 0.5 decision threshold."""
-    return compute_metrics(np.asarray(y, dtype=np.float64), predict_labels(model, X))
-
-
-def _mean_metrics(folds: Sequence[Metrics]) -> Metrics:
-    per_class = {
-        cls: ClassMetrics(
-            precision=float(np.mean([f.per_class[cls].precision for f in folds])),
-            recall=float(np.mean([f.per_class[cls].recall for f in folds])),
-            f1=float(np.mean([f.per_class[cls].f1 for f in folds])),
-        )
-        for cls in (1, -1)
-    }
-    return Metrics(
-        accuracy=float(np.mean([f.accuracy for f in folds])),
-        per_class=per_class,
-        macro_precision=float(np.mean([f.macro_precision for f in folds])),
-        macro_recall=float(np.mean([f.macro_recall for f in folds])),
-        macro_f1=float(np.mean([f.macro_f1 for f in folds])),
-    )
+    y_pred = np.where(expit(np.asarray(X @ model.weights).ravel() + model.bias) >= 0.5, 1.0, -1.0)
+    prf = []
+    for cls in (1.0, -1.0):
+        tp = int(np.sum((y_pred == cls) & (y == cls)))
+        fp = int(np.sum((y_pred == cls) & (y != cls)))
+        fn = int(np.sum((y_pred != cls) & (y == cls)))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        prf.append((precision, recall, f1))
+    macro = (float(np.mean([c, d])) for c, d in zip(*prf))
+    return (*prf[0], *prf[1], float(np.mean(y == y_pred)), *macro)
 
 
 def cross_validate(
@@ -320,8 +287,8 @@ def cross_validate(
     repeats: int = 10,
     start: np.ndarray | None = None,
 ) -> Metrics:
-    """Mean metrics over repeated, seeded, stratified 90/10 train/test splits;
-    every fold's fit starts from ``start`` (see :func:`train_logit`)."""
+    """Each score's mean over repeated, seeded, stratified 90/10 train/test
+    splits; every fold's fit starts from ``start`` (see :func:`train_logit`)."""
     y = np.asarray(y, dtype=np.float64)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -340,8 +307,8 @@ def cross_validate(
         train_idx = np.sort(np.concatenate(train_parts))
         test_idx = np.sort(np.concatenate(test_parts))
         model = train_logit(X[train_idx], y[train_idx], hyperparams, start)
-        folds.append(evaluate(model, X[test_idx], y[test_idx]))
-    return _mean_metrics(folds)
+        folds.append(_fold_scores(model, X[test_idx], y[test_idx]))
+    return Metrics(*(float(np.mean(f)) for f in zip(*folds)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from quotematch.behavior import (
     BehaviorLabel,
-    InteractionCounts,
     LabelThresholds,
+    SUMMARY_METRICS,
     Post,
     UserStats,
     build_labeled_dataset,
@@ -271,47 +271,44 @@ def test_build_dataset_duplicate_user_error():
 
 
 def test_interaction_summary_single_user():
-    counts = {"u": InteractionCounts(5, 10, 3, retweet_fraction=0.25)}
-    labels = {"u": BehaviorLabel.CIRCULATOR}
-    summary = interaction_summary(counts, labels)
+    summary = interaction_summary({BehaviorLabel.CIRCULATOR: [(5, 10, 3, 0.25)]})
     circ = summary[BehaviorLabel.CIRCULATOR]
-    assert circ["retweet_fraction"]["mean"] == 0.25
-    assert circ["retweets"]["mean"] == 10
+    assert circ.shape == (len(SUMMARY_METRICS), 4)
+    assert circ[SUMMARY_METRICS.index("retweet_fraction"), 0] == 0.25
+    assert circ[SUMMARY_METRICS.index("retweets"), 0] == 10
 
 
 def test_interaction_summary_identical_classes_identical():
-    counts = {
-        "a": InteractionCounts(5, 7, 3, 0.4),
-        "b": InteractionCounts(9, 2, 1, 0.1),
-        "c": InteractionCounts(5, 7, 3, 0.4),
-        "d": InteractionCounts(9, 2, 1, 0.1),
-    }
-    labels = {
-        "a": BehaviorLabel.CIRCULATOR,
-        "b": BehaviorLabel.CIRCULATOR,
-        "c": BehaviorLabel.DEBUNKER,
-        "d": BehaviorLabel.DEBUNKER,
-    }
-    summary = interaction_summary(counts, labels)
-    assert summary[BehaviorLabel.CIRCULATOR] == summary[BehaviorLabel.DEBUNKER]
+    rows = [(5, 7, 3, 0.4), (9, 2, 1, 0.1)]
+    summary = interaction_summary({BehaviorLabel.CIRCULATOR: rows, BehaviorLabel.DEBUNKER: rows})
+    assert np.array_equal(summary[BehaviorLabel.CIRCULATOR], summary[BehaviorLabel.DEBUNKER])
 
 
 def test_interaction_summary_planted_retweet_contrast():
-    counts = {}
-    labels = {}
-    for i in range(50):
-        counts[f"c{i}"] = InteractionCounts(10, 20, 5, 0.758)
-        labels[f"c{i}"] = BehaviorLabel.CIRCULATOR
-        counts[f"d{i}"] = InteractionCounts(10, 20, 5, 0.279)
-        labels[f"d{i}"] = BehaviorLabel.DEBUNKER
-    summary = interaction_summary(counts, labels)
-    assert summary[BehaviorLabel.CIRCULATOR]["retweet_fraction"]["mean"] == pytest.approx(0.758)
-    assert summary[BehaviorLabel.DEBUNKER]["retweet_fraction"]["mean"] == pytest.approx(0.279)
+    summary = interaction_summary({
+        BehaviorLabel.CIRCULATOR: [(10, 20, 5, 0.758)] * 50,
+        BehaviorLabel.DEBUNKER: [(10, 20, 5, 0.279)] * 50,
+    })
+    i = SUMMARY_METRICS.index("retweet_fraction")
+    assert summary[BehaviorLabel.CIRCULATOR][i, 0] == pytest.approx(0.758)
+    assert summary[BehaviorLabel.DEBUNKER][i, 0] == pytest.approx(0.279)
 
 
-def test_interaction_summary_unlabeled_user_error():
-    with pytest.raises(ValueError, match="without labels"):
-        interaction_summary({"u": InteractionCounts(1, 1, 1, 0.0)}, {})
+def test_interaction_summary_columns_match_one_dimensional_reductions():
+    rng = np.random.default_rng(9)
+    rows = {
+        label: [tuple(rng.random(4).tolist()) for _ in range(n)]
+        for label, n in ((BehaviorLabel.CIRCULATOR, 9), (BehaviorLabel.DEBUNKER, 37))
+    }
+    summary = interaction_summary(rows)
+    for label, users in rows.items():
+        for i in range(len(SUMMARY_METRICS)):
+            values = [u[i] for u in users]
+            # Bit for bit: a mean over axis 0 of the user table adds in another order.
+            assert summary[label][i].tolist() == [
+                float(np.mean(values)), float(np.median(values)),
+                float(np.percentile(values, 25)), float(np.percentile(values, 75)),
+            ]
 
 
 def test_timeline_jsonl_roundtrip(tmp_path):

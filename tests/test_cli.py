@@ -660,6 +660,11 @@ _REPORT = ["report", "--model", "{w}/model.json", "--space", "{w}/space.json",
            "--out-dir", "{w}/r2", "--category-map", "{w}/categories.csv"]
 _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
              "--out-vectors", "{w}/v2.jsonl"]
+_LABEL = ["label", "--stats", "{w}/stats.csv", "--out", "{w}/l2.csv"]
+
+
+def _repeat_line_2(name):
+    return _replace_text(name, lambda text: re.sub(r"\n(.*\n)", r"\n\1\1", text, count=1))
 
 
 @pytest.mark.parametrize(
@@ -735,6 +740,11 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
         (_TRAIN, _replace_text("vectors.jsonl", lambda text: re.sub(
             r"\n(.*\n)", r"\n\1\1", text, count=1)), 4,
          r"vectors\.jsonl: line 3: repeated user_id"),
+        (_TRAIN, _repeat_line_2("labeled.csv"), 4,
+         r"labeled\.csv: line 3: repeated user_id '"),
+        (_REPORT + ["--labeled", "{w}/labeled.csv"], _repeat_line_2("labeled.csv"), 4,
+         r"labeled\.csv: line 3: repeated user_id '"),
+        (_LABEL, _repeat_line_2("stats.csv"), 4, r"stats\.csv: line 3: repeated user_id '"),
     ],
     ids=["space-empty-object", "space-list", "space-truncated", "vectors-line-without-columns",
          "vectors-columns-int", "space-columns-int", "model-hyperparams-int",
@@ -747,7 +757,8 @@ _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
          "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
          "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",
          "stats-extra-field", "stats-missing-field", "stats-empty-fields", "vectors-user-id-int",
-         "vectors-user-id-repeated"],
+         "vectors-user-id-repeated", "train-labeled-user-id-repeated",
+         "report-labeled-user-id-repeated", "label-stats-user-id-repeated"],
 )
 def test_bad_artifact_exit_code_names_file(
     pipeline_dir, tmp_path, capsys, argv, edit, code, message

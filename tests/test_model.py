@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -10,20 +11,21 @@ from scipy.optimize import minimize, rosen, rosen_der, rosen_hess_prod
 from quotematch.features import (
     TieKind, build_feature_space, encode_users, read_ties_csv, tie_table, to_csr,
 )
+from quotematch import model as model_mod
 from quotematch.model import (
     CoefficientReport,
     LogitHyperparams,
+    LogitModel,
+    Metrics,
     categorize_report,
-    compute_metrics,
     cross_validate,
     distinct_columns,
-    evaluate,
     load_model,
-    predict_labels,
     save_model,
     top_coefficients,
     train_and_validate,
     train_logit,
+    _fold_scores,
     _logistic_objective,
     _trust_ncg,
 )
@@ -47,6 +49,16 @@ def _separable(n=40, seed=0):
     return X, y
 
 
+def _predict(model, X):
+    return np.where(scipy.special.expit(X @ model.weights + model.bias) >= 0.5, 1.0, -1.0)
+
+
+def _scores(y_true, y_pred):
+    """The fold scores of a one-column model that predicts ``y_pred``."""
+    model = LogitModel(np.ones(1), 0.0, HP, True, 0.0, [])
+    return Metrics(*_fold_scores(model, np.asarray(y_pred, dtype=float)[:, None], y_true))
+
+
 def _space(n):
     return build_feature_space(tie_table(("u", f"t{i:03d}", TieKind.FOLLOW) for i in range(n)))
 
@@ -56,7 +68,7 @@ def test_train_separable_single_feature():
     X = np.array([[1.0], [1.0], [0.0], [0.0]])
     model = train_logit(X, y, HP)
     assert model.weights[0] > 0
-    assert evaluate(model, X, y).accuracy == 1.0
+    assert _scores(y, _predict(model, X)).accuracy == 1.0
 
 
 def test_train_label_flip_negates_weights():
@@ -157,28 +169,28 @@ def test_train_sparse_and_dense_agree_and_converge():
 def test_duplicating_example_never_flips_predictions():
     X, y = _separable(seed=1)
     X_test = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.7], [1.0, 0.0, 0.9]])
-    base = predict_labels(train_logit(X, y, HP), X_test)
+    base = _predict(train_logit(X, y, HP), X_test)
     X_dup = np.vstack([X, X[0]])
     y_dup = np.append(y, y[0])
-    dup = predict_labels(train_logit(X_dup, y_dup, HP), X_test)
+    dup = _predict(train_logit(X_dup, y_dup, HP), X_test)
     assert np.array_equal(base, dup)
 
 
 def test_evaluate_all_correct():
     y = np.array([1.0, -1.0, 1.0, -1.0])
-    m = compute_metrics(y, y)
+    m = _scores(y, y)
     assert m.accuracy == 1.0
-    assert m.per_class[1].f1 == 1.0 and m.per_class[-1].f1 == 1.0
+    assert m.circulator_f1 == 1.0 and m.debunker_f1 == 1.0
 
 
 def test_evaluate_single_class_predictions_on_balanced():
     y_true = np.array([1.0, 1.0, -1.0, -1.0])
     y_pred = np.ones(4)
-    m = compute_metrics(y_true, y_pred)
+    m = _scores(y_true, y_pred)
     assert m.accuracy == 0.5
-    assert m.per_class[1].recall == 1.0
-    assert m.per_class[1].precision == 0.5
-    assert m.per_class[-1].precision == 0.0 and m.per_class[-1].recall == 0.0
+    assert m.circulator_recall == 1.0
+    assert m.circulator_precision == 0.5
+    assert m.debunker_precision == 0.0 and m.debunker_recall == 0.0
 
 
 def test_metrics_identities_random():
@@ -187,21 +199,31 @@ def test_metrics_identities_random():
         n = int(rng.integers(4, 60))
         y_true = rng.choice([-1.0, 1.0], size=n)
         y_pred = rng.choice([-1.0, 1.0], size=n)
-        m = compute_metrics(y_true, y_pred)
-        assert m.macro_f1 == pytest.approx(
-            (m.per_class[1].f1 + m.per_class[-1].f1) / 2
-        )
+        m = _scores(y_true, y_pred)
+        assert m.macro_f1 == pytest.approx((m.circulator_f1 + m.debunker_f1) / 2)
         # accuracy == trace of the confusion matrix over total
         tp = np.sum((y_true == 1) & (y_pred == 1))
         tn = np.sum((y_true == -1) & (y_pred == -1))
         assert m.accuracy == pytest.approx((tp + tn) / n)
 
 
-def test_evaluate_dimension_mismatch():
-    X, y = _separable()
-    model = train_logit(X, y, HP)
-    with pytest.raises(ValueError, match="columns"):
-        predict_labels(model, np.ones((3, 5)))
+def test_fold_scores_tiny_negative_margin_predicts_positive():
+    # expit(-1e-17) rounds to exactly 0.5, so the 0.5 threshold calls it +1.
+    model = LogitModel(np.zeros(1), -1e-17, HP, True, 0.0, [])
+    m = Metrics(*_fold_scores(model, np.zeros((2, 1)), np.array([1.0, -1.0])))
+    assert m.circulator_recall == 1.0 and m.debunker_recall == 0.0
+
+
+def test_cross_validate_means_each_score_in_list_order(monkeypatch):
+    rng = np.random.default_rng(5)
+    folds = [tuple(float(v) for v in rng.random(10)) for _ in range(10)]
+    calls = iter(folds)
+    monkeypatch.setattr(model_mod, "_fold_scores", lambda model, X, y: next(calls))
+    X, y = _separable(n=40, seed=3)
+    metrics = cross_validate(X, y, HP, repeats=10)
+    expected = [float(np.mean([f[i] for f in folds])) for i in range(10)]
+    # Bit for bit: a mean over axis 0 of the fold table adds in another order.
+    assert astuple(metrics) == tuple(expected)
 
 
 def test_cross_validate_separable_high_accuracy():
