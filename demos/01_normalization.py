@@ -24,13 +24,12 @@ normalized = normalize_arabic(post)
 print(f"  normalized: {normalized}")
 print(f"  stripped:   {strip_quote_prefix(normalized)}")
 
-# Matching operates on sets of token n-grams (unigrams by default).
-print("\n=== shingles ===")
+# Matching compares token sets: word order and repeats do not count.
+print("\n=== token set ===")
 body = strip_quote_prefix(normalized)
-for n in (1, 2):
-    s = shingle(body, n)
-    print(f"  n={n}: {len(s)} shingles from {len(body.split())} tokens")
-    print(f"        {sorted(s)[:4]} ...")
+tokens = shingle(body)
+print(f"  {len(tokens)} distinct tokens from {len(body.split())} tokens")
+print(f"  {sorted(tokens)[:4]} ...")
 
 # Normalization is idempotent: a normalized string is its own normal form.
 assert normalize_arabic(normalized) == normalized

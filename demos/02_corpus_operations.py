@@ -39,7 +39,6 @@ print(
     f"merged: {len(corpus_a)} + {len(corpus_b)} quotes with "
     f"{merge_report.collisions} shared text(s) -> {len(merged)}"
 )
-print(f"provenance: {merged.provenance}")
 
 # Scholar-provided exclusions are id lists; unknown ids warn, never fail.
 filtered, filter_report = filter_corpus(merged, {"a3", "not-a-real-id"})

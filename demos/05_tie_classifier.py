@@ -56,7 +56,7 @@ print(f"feature space: {space.n_columns} (target, kind) columns over {len(vector
 design = distinct_columns(X)
 print(f"distinct columns: {design.X.shape[1]} of {space.n_columns}")
 hp = LogitHyperparams(seed=0)
-model, metrics = train_and_validate(design, y, hp, repeats=10)
+model, metrics = train_and_validate(design, y, hp)
 print(f"90-10 cross-validation accuracy: {metrics.accuracy:.3f}")
 print(f"macro F1: {metrics.macro_f1:.3f}")
 

@@ -97,11 +97,14 @@ def read_timeline(path: str | Path) -> list[Post]:
             is_retweet = obj.get("is_retweet", False)
             if not isinstance(is_retweet, bool):
                 raise TypeError(f"is_retweet must be true or false, got {is_retweet!r}")
+            text = obj.get("text", "")
+            if not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {text!r}")
             posts.append(
                 Post(
                     id=str(obj["id"]),
                     user_id=str(obj["user_id"]),
-                    text=str(obj.get("text", "")),
+                    text=text,
                     is_retweet=is_retweet,
                     created_at=str(obj.get("created_at", "")),
                     parent_id=str(obj["parent_id"]) if obj.get("parent_id") is not None else None,

@@ -7,9 +7,8 @@ hashes so a scan cannot silently run against the wrong index, nor a report
 against the wrong feature space or ties file. ``index`` compiles the corpus
 once; ``scan`` reads that compiled index, checks it against the corpus file's
 hash, strips quote introductions with the prefix lexicon the index records,
-scans with the index's shingle size, and parses no corpus. ``features`` reads
-the ties file once and records its per-user tie counts in the space, so
-``report`` only hashes the ties file.
+and parses no corpus. ``features`` reads the ties file once and records its
+per-user tie counts in the space, so ``report`` only hashes the ties file.
 Every JSON, JSONL and CSV artifact is read and written through ``quotematch.artifacts``.
 """
 
@@ -100,9 +99,7 @@ def cmd_index(args) -> None:
     corpus_path = _require(args.corpus)
     lexicon = _lexicon(args.prefixes, DEFAULT_PREFIXES)
     built, _ = corpus_mod.load_corpus(corpus_path, lexicon)
-    index = matcher.build_index(
-        built, args.shingle_n, corpus_hash=_sha256(corpus_path), prefix_lexicon=lexicon
-    )
+    index = matcher.build_index(built, corpus_hash=_sha256(corpus_path), prefix_lexicon=lexicon)
     matcher.save_index(index, args.out)
     print(f"indexed {len(index)} quotes over {len(index.vocabulary)} distinct shingles")
 
@@ -240,10 +237,8 @@ def cmd_train(args) -> None:
     space_hash, X, y = _load_xy(args)
     design = model_mod.distinct_columns(X)
     del X  # the fits need only the distinct columns
-    hp = LogitHyperparams(
-        l2_strength=args.l2, max_iters=args.max_iters, tolerance=args.tol, seed=args.seed
-    )
-    final, metrics = model_mod.train_and_validate(design, y, hp, repeats=args.repeats)
+    hp = LogitHyperparams(l2_strength=args.l2, seed=args.seed)
+    final, metrics = model_mod.train_and_validate(design, y, hp)
     model_mod.save_model(final, args.out_model, space_hash)
     _write_metrics(metrics, args.out_metrics)
     print(
@@ -265,6 +260,8 @@ def _read_category_map(path: Path) -> dict[str, str]:
             raise ValueError(
                 f"{path}: line {line_no}: expected 2 fields target_id,category, got {len(row)}"
             )
+        if row[0] in mapping:
+            raise ValueError(f"{path}: line {line_no}: repeated target_id {row[0]!r}")
         mapping[row[0]] = row[1]
     return mapping
 
@@ -333,9 +330,7 @@ def cmd_synth(args) -> None:
         )
     spec = synth.SyntheticSpec(
         n_per_class=args.n_per_class,
-        planted_per_class=args.planted,
         timeline_len=args.timeline_len,
-        label_noise=args.noise,
         seed=args.seed,
         two_refute_debunkers=two_refute,
     )
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_p.add_argument("--corpus", required=True)
     index_p.add_argument("--out", required=True)
-    index_p.add_argument("--shingle-n", type=int, default=1, help="tokens per shingle")
     index_p.add_argument("--prefixes")
     index_p.set_defaults(func=cmd_index)
 
@@ -435,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--out-model", required=True)
     train_p.add_argument("--out-metrics", required=True)
     train_p.add_argument("--l2", type=float, default=1.0)
-    train_p.add_argument("--max-iters", type=int, default=5000)
-    train_p.add_argument("--tol", type=float, default=1e-6)
     train_p.add_argument("--seed", type=int, default=0)
-    train_p.add_argument("--repeats", type=int, default=10)
     train_p.set_defaults(func=cmd_train)
 
     report_p = sub.add_parser("report", help="coefficient, category, and class reports")
@@ -454,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p = sub.add_parser("synth", help="generate a deterministic synthetic fixture")
     synth_p.add_argument("--out-dir", required=True)
     synth_p.add_argument("--n-per-class", type=int, default=559)
-    synth_p.add_argument("--planted", type=int, default=20)
     synth_p.add_argument("--timeline-len", type=int, default=40)
-    synth_p.add_argument("--noise", type=float, default=0.05)
     synth_p.add_argument("--seed", type=int, default=0)
     synth_p.add_argument(
         "--two-refute", type=int,

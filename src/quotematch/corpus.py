@@ -30,13 +30,7 @@ class CorpusError(ValueError):
 
 
 class CorpusParseError(CorpusError):
-    """Malformed corpus file content; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """Malformed corpus file content."""
 
 
 class CorpusValidationError(CorpusError):
@@ -71,7 +65,6 @@ class ReferenceCorpus:
     """Immutable-by-convention collection of deduplicated reference quotes."""
 
     quotes: list[ReferenceQuote]
-    provenance: list[str]
 
     def __post_init__(self) -> None:
         ids: set[str] = set()
@@ -127,16 +120,15 @@ def build_corpus(
     quotes: list[ReferenceQuote] = []
     by_text: dict[str, str] = {}
     ids: set[str] = set()
-    provenance: list[str] = []
     rows_read = 0
     collapsed = 0
     for i, (qid, label, source, text) in enumerate(rows, start=1):
         line_no = line_offset + i
         rows_read += 1
         if not qid:
-            raise CorpusParseError("empty quote id", line_no)
+            raise CorpusParseError(f"line {line_no}: empty quote id")
         if not text.strip():
-            raise CorpusParseError("empty quote text", line_no)
+            raise CorpusParseError(f"line {line_no}: empty quote text")
         try:
             level = AuthenticityLevel.parse(label)
         except CorpusValidationError as exc:
@@ -154,9 +146,7 @@ def build_corpus(
         quotes.append(ReferenceQuote(qid, text, normalized, level, source))
         by_text[normalized] = qid
         ids.add(qid)
-        if source not in provenance:
-            provenance.append(source)
-    return ReferenceCorpus(quotes, provenance), LoadReport(rows=rows_read, collapsed=collapsed)
+    return ReferenceCorpus(quotes), LoadReport(rows=rows_read, collapsed=collapsed)
 
 
 def _parse_tsv(content: str) -> Iterable[tuple[str, str, str, str]]:
@@ -164,14 +154,14 @@ def _parse_tsv(content: str) -> Iterable[tuple[str, str, str, str]]:
     if not lines:
         return
     if lines[0] != TSV_HEADER:
-        raise CorpusParseError(f"expected header {TSV_HEADER!r}", line_no=1)
+        raise CorpusParseError(f"line 1: expected header {TSV_HEADER!r}")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t", 3)
         if len(parts) != 4:
             raise CorpusParseError(
-                f"expected 4 tab-separated columns, got {len(parts)}", line_no
+                f"line {line_no}: expected 4 tab-separated columns, got {len(parts)}"
             )
         yield tuple(parts)  # type: ignore[misc]
 
@@ -237,9 +227,8 @@ def merge_corpora(
         merged.append(q)
         ids.add(q.id)
         texts.add(q.normalized_text)
-    provenance = list(a.provenance) + [t for t in b.provenance if t not in a.provenance]
-    corpus = ReferenceCorpus(merged, provenance)
-    return corpus, MergeReport(collisions=collisions, renamespaced_ids=tuple(renamespaced))
+    report = MergeReport(collisions=collisions, renamespaced_ids=tuple(renamespaced))
+    return ReferenceCorpus(merged), report
 
 
 def filter_corpus(
@@ -250,8 +239,8 @@ def filter_corpus(
     known = corpus.ids()
     unknown = tuple(sorted(exclude - known))
     kept = [q for q in corpus.quotes if q.id not in exclude]
-    filtered = ReferenceCorpus(kept, list(corpus.provenance))
-    return filtered, FilterReport(removed=len(corpus) - len(kept), unknown_ids=unknown)
+    report = FilterReport(removed=len(corpus) - len(kept), unknown_ids=unknown)
+    return ReferenceCorpus(kept), report
 
 
 def load_exclusion_list(path: str | Path) -> set[str]:

@@ -179,9 +179,8 @@ class CompiledIndex:
     Rows are quotes in string order of their ids, so the first maximum over
     rows is at the lowest quote id. Row ``r``'s shingles are
     ``vocabulary[c]`` for ``c`` in ``columns[indptr[r]:indptr[r + 1]]``,
-    ascending. ``corpus_hash``, ``prefixes`` and ``shingle_n`` record what
-    the index was built from; a scan strips quote introductions with
-    ``prefixes`` and shingles with ``shingle_n``.
+    ascending. ``corpus_hash`` and ``prefixes`` record what the index was
+    built from; a scan strips quote introductions with ``prefixes``.
     """
 
     quote_ids: tuple[str, ...]
@@ -189,7 +188,6 @@ class CompiledIndex:
     vocabulary: tuple[str, ...]
     indptr: np.ndarray  # (n_quotes + 1,) int64
     columns: np.ndarray  # (nnz,) int32
-    shingle_n: int
     prefixes: PhraseLexicon
     corpus_hash: str | None = None
 
@@ -223,7 +221,6 @@ class CompiledIndex:
 
 def build_index(
     corpus: ReferenceCorpus,
-    shingle_n: int = 1,
     *,
     corpus_hash: str | None = None,
     prefix_lexicon: PhraseLexicon = DEFAULT_PREFIXES,
@@ -236,7 +233,7 @@ def build_index(
     if len(corpus) == 0:
         raise MatcherError("cannot index an empty corpus")
     quotes = sorted(corpus.quotes, key=lambda q: q.id)
-    sets = [shingle(q.normalized_text, shingle_n) for q in quotes]
+    sets = [shingle(q.normalized_text) for q in quotes]
     vocabulary = sorted(frozenset().union(*sets))
     column_of = {s: i for i, s in enumerate(vocabulary)}
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
@@ -254,7 +251,6 @@ def build_index(
         vocabulary=tuple(vocabulary),
         indptr=indptr,
         columns=columns,
-        shingle_n=shingle_n,
         prefixes=prefix_lexicon,
         corpus_hash=corpus_hash,
     )
@@ -297,7 +293,7 @@ def match_post(
     normalized = normalize_arabic(post_text)
     refuted = refute_lexicon.occurs_in(normalized.split())
     stripped = strip_quote_prefix(normalized, index.prefixes)
-    shingles = shingle(stripped, index.shingle_n)
+    shingles = shingle(stripped)
     if not shingles:
         return None
     candidates = query_candidates(index, shingles)
@@ -334,7 +330,7 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
         "format_version": INDEX_FORMAT_VERSION,
         "corpus_hash": index.corpus_hash,
         "prefixes": [list(phrase) for phrase in index.prefixes.phrases],
-        "shingle_n": index.shingle_n,
+        "shingle_n": 1,  # token shingles; kept so the header format is unchanged
         "quote_ids": list(index.quote_ids),
         "authenticity": [a.value for a in index.authenticity],
         "vocabulary": list(index.vocabulary),
@@ -355,9 +351,8 @@ def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledI
     Raises :class:`VersionMismatchError` for another format or magic, or when
     the corpus hash differs from the header's; :class:`MatcherError` for a
     truncated or malformed file, a malformed or empty prefix lexicon or a
-    ``shingle_n`` that is not an integer >= 1 included.
-    The loaded index carries the ``shingle_n`` and the prefix lexicon it was
-    built with, so a scan uses both.
+    ``shingle_n`` other than 1 included. The loaded index carries the prefix
+    lexicon it was built with, so a scan strips with it.
     """
     data = Path(path).read_bytes()
     magic = data[: len(INDEX_MAGIC)]
@@ -385,7 +380,7 @@ def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledI
         vocabulary = tuple(header["vocabulary"])
         authenticity = tuple(AuthenticityLevel(a) for a in header["authenticity"])
         built_n, built_corpus = header["shingle_n"], header["corpus_hash"]
-        if type(built_n) is not int or built_n < 1:
+        if type(built_n) is not int or built_n != 1:
             raise ValueError(f"bad shingle size {built_n!r}")
         prefixes = PhraseLexicon.from_phrases(map(" ".join, header["prefixes"]))
         if [list(phrase) for phrase in prefixes.phrases] != header["prefixes"]:
@@ -420,7 +415,6 @@ def load_index(path: str | Path, *, corpus_hash: str | None = None) -> CompiledI
         vocabulary=vocabulary,
         indptr=indptr,
         columns=columns,
-        shingle_n=built_n,
         prefixes=prefixes,
         corpus_hash=built_corpus,
     )

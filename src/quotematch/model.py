@@ -24,7 +24,7 @@ starts each cross-validation fold from it (:func:`train_and_validate`). For
 ``l2_strength`` > 0 each fold's objective is strictly convex, so its optimum
 does not depend on the start; only where the fit stops within the gradient-norm
 tolerance moves. Cross-validation is the paper's 10 seeded, stratified 90/10
-splits; the 90/10 fraction is fixed, only the number of splits is a setting.
+splits; the ``train`` stage sets only their seed.
 Each fold scores its test rows with ten numbers (per-class precision, recall
 and F1, accuracy, and the macro averages: :class:`Metrics`), and
 cross-validation reports the mean of each over the folds.
@@ -357,15 +357,12 @@ def train_and_validate(
     design: DistinctColumns,
     y,
     hyperparams: LogitHyperparams = DEFAULT_HYPERPARAMS,
-    repeats: int = 10,
 ) -> tuple[LogitModel, Metrics]:
-    """The final model, fitted from zero, and the CV metrics of folds started
-    from it, all fitted on ``design``'s distinct columns; the model is
+    """The final model, fitted from zero, and the CV metrics of 10 folds
+    started from it, all fitted on ``design``'s distinct columns; the model is
     returned on the original columns."""
     final = train_logit(design.X, y, hyperparams)
-    metrics = cross_validate(
-        design.X, y, hyperparams, repeats, np.append(final.weights, final.bias)
-    )
+    metrics = cross_validate(design.X, y, hyperparams, start=np.append(final.weights, final.bias))
     return design.expand(final), metrics
 
 

@@ -2,15 +2,15 @@
 ties, and ground-truth labels with planted circulator/debunker behaviors.
 
 Everything is a pure function of the seed, so two runs with the same spec are
-byte-identical. Tie profiles carry planted class-exclusive features; a
-``label_noise`` fraction of users per class instead draws background-only
-ties, which makes their label pure noise for the tie classifier while their
-timeline behavior stays consistent with the label.
+byte-identical. Tie profiles carry planted class-exclusive features; 5% of
+the users of each class instead draw background-only ties, which makes their
+label pure noise for the tie classifier while their timeline behavior stays
+consistent with the label.
 
-:class:`SyntheticSpec` sets the class size, planted ties, timeline length,
-label noise, seed and two-refute debunkers. The rest is fixed: 30 fabricated
-and 30 other quotes, 100 background tie targets, and a retweet fraction of
-0.758 for circulators and 0.279 for debunkers.
+:class:`SyntheticSpec` sets the class size, timeline length, seed and
+two-refute debunkers. The rest is fixed: 30 fabricated and 30 other quotes,
+20 planted tie targets per class, 100 background tie targets, 5% label noise,
+and a retweet fraction of 0.758 for circulators and 0.279 for debunkers.
 """
 
 from __future__ import annotations
@@ -31,24 +31,22 @@ _ARABIC_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
 _TIE_KINDS = (TieKind.FOLLOW, TieKind.RETWEET_AUTHOR, TieKind.LIKE_AUTHOR)
 _FABRICATED_QUOTES = 30
 _OTHER_QUOTES = 30
+_PLANTED_PER_CLASS = 20
 _BACKGROUND_TARGETS = 100
+_LABEL_NOISE = 0.05
 _RETWEET_FRACTION = {"circ": 0.758, "deb": 0.279}
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_per_class: int = 559
-    planted_per_class: int = 20
     timeline_len: int = 40
-    label_noise: float = 0.05
     seed: int = 0
     two_refute_debunkers: int = 216
 
     def __post_init__(self) -> None:
-        if min(self.n_per_class, self.planted_per_class, self.timeline_len) < 1:
+        if min(self.n_per_class, self.timeline_len) < 1:
             raise ValueError("spec sizes must be positive")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError("label_noise must be in [0, 1]")
         if not 0 <= self.two_refute_debunkers <= self.n_per_class:
             raise ValueError("two_refute_debunkers must be within the class size")
 
@@ -165,8 +163,8 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
     corpus_path = out / "corpus.tsv"
     corpus_path.write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
 
-    circ_planted = _planted_pairs("circ_hub", spec.planted_per_class)
-    deb_planted = _planted_pairs("deb_hub", spec.planted_per_class)
+    circ_planted = _planted_pairs("circ_hub", _PLANTED_PER_CLASS)
+    deb_planted = _planted_pairs("deb_hub", _PLANTED_PER_CLASS)
     background = [f"bg_{i:04d}" for i in range(_BACKGROUND_TARGETS)]
 
     all_ties: list[Tie] = []
@@ -174,7 +172,7 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> SynthPaths:
     refute_phrases = [normalize_arabic(p) for p in DEFAULT_REFUTE_PHRASES]
 
     for cls, label in (("circ", "circulator"), ("deb", "debunker")):
-        n_noisy = int(round(spec.label_noise * spec.n_per_class))
+        n_noisy = int(round(_LABEL_NOISE * spec.n_per_class))
         for u in range(spec.n_per_class):
             user_id = f"{cls}_{u:04d}"
             truth_rows.append((user_id, label))

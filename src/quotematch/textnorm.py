@@ -14,7 +14,7 @@ matcher: :meth:`~PhraseLexicon.leading` finds the quote introduction that
 :func:`strip_quote_prefix` removes (``DEFAULT_PREFIXES``), and
 :meth:`~PhraseLexicon.occurs_in` finds the refuting phrases the matcher looks
 for (``matcher.DEFAULT_REFUTES``). A shingle set is a plain ``frozenset`` of
-token n-grams.
+tokens.
 """
 
 from __future__ import annotations
@@ -191,15 +191,6 @@ def strip_quote_prefix(
     return " ".join(tokens[k:]) if k else text
 
 
-def shingle(text: NormalizedText, n: int = 1) -> frozenset[str]:
-    """All consecutive n-token windows of a normalized string, as a set.
-
-    For n=1 this is the token set. Texts with fewer than n tokens yield the
-    empty set.
-    """
-    if n < 1:
-        raise ValueError(f"shingle size must be >= 1, got {n}")
-    tokens = text.split()
-    if n == 1:
-        return frozenset(tokens)
-    return frozenset(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def shingle(text: NormalizedText) -> frozenset[str]:
+    """The token set of a normalized string: the shingles that matching compares."""
+    return frozenset(text.split())

@@ -23,13 +23,8 @@ class MatchFixture:
     posts: list[tuple[str, str]]  # (post_id, text)
 
 
-def _token_set(text: str, n: int = 1) -> frozenset[str]:
-    tokens = strip_quote_prefix(normalize_arabic(text)).split()
-    if len(tokens) < n:
-        return frozenset()
-    if n == 1:
-        return frozenset(tokens)
-    return frozenset(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset(strip_quote_prefix(normalize_arabic(text)).split())
 
 
 def random_match_fixture(
@@ -155,7 +150,7 @@ def _has_refute(tokens: list[str]) -> bool:
 
 
 def brute_force_best(
-    fixture: MatchFixture, threshold: float = 0.35, shingle_n: int = 1
+    fixture: MatchFixture, threshold: float = 0.35
 ) -> dict[str, tuple[str, str, float]]:
     """post id -> (quote id, kind, exact Jaccard) of every post that matches.
 
@@ -163,11 +158,11 @@ def brute_force_best(
     of quote ids, and it matches when its Jaccard strictly exceeds the threshold.
     """
     quotes = sorted(
-        (q.id, q.authenticity, _token_set(q.raw_text, shingle_n)) for q in fixture.corpus.quotes
+        (q.id, q.authenticity, _token_set(q.raw_text)) for q in fixture.corpus.quotes
     )
     out = {}
     for post_id, text in fixture.posts:
-        post_set = _token_set(text, shingle_n)
+        post_set = _token_set(text)
         if not post_set:
             continue
         best, best_sim = None, -1.0

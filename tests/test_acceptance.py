@@ -49,24 +49,22 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _matching_cases():
-    """(name, fixture, shingle size): 20 random fixtures with disjoint noise
-    words, and Zipf fixtures with shared words and planted edge cases."""
+    """(name, fixture): 20 random fixtures with disjoint noise words, and Zipf
+    fixtures with shared words and planted edge cases."""
     for seed in range(N_FIXTURES):
-        yield f"random seed {seed}", random_match_fixture(seed), 1
+        yield f"random seed {seed}", random_match_fixture(seed)
     for seed in range(3):
-        fx = zipf_match_fixture(seed)
-        yield f"zipf seed {seed}", fx, 1
-        yield f"zipf seed {seed}, shingle-n 2", fx, 2
+        yield f"zipf seed {seed}", zipf_match_fixture(seed)
 
 
 def test_matching_oracle_equivalence():
     """Pipeline matches == brute-force all-pairs: quote, kind and similarity bit for bit."""
     slowest = 0.0
     total_matches = 0
-    for name, fx, shingle_n in _matching_cases():
-        oracle = brute_force_best(fx, THRESHOLD, shingle_n)
+    for name, fx in _matching_cases():
+        oracle = brute_force_best(fx, THRESHOLD)
         start = time.perf_counter()
-        index = build_index(fx.corpus, shingle_n)
+        index = build_index(fx.corpus)
         got = {}
         for post_id, text in fx.posts:
             result = match_post(text, index, threshold=THRESHOLD, post_id=post_id)
@@ -93,7 +91,7 @@ def test_matching_oracle_equivalence():
     _report(
         "matching-oracle-equivalence",
         True,
-        f"{N_FIXTURES} random and 3 Zipf fixtures (shingle-n 1 and 2) identical in quote, "
+        f"{N_FIXTURES} random and 3 Zipf fixtures identical in quote, "
         f"kind and similarity, {total_matches} matches, slowest {slowest:.2f}s < 10s",
     )
 
@@ -194,8 +192,8 @@ def test_model_recovery_on_planted_synthetic():
     metrics = cross_validate(X, y, hp, repeats=10)
     model = train_logit(X, y, hp)
     report = top_coefficients(model, space, k=10)
-    planted_circ = {f"circ_hub_{i:03d}" for i in range(spec.planted_per_class)}
-    planted_deb = {f"deb_hub_{i:03d}" for i in range(spec.planted_per_class)}
+    planted_circ = {f"circ_hub_{i:03d}" for i in range(20)}
+    planted_deb = {f"deb_hub_{i:03d}" for i in range(20)}
     pos_hits = sum(1 for (target, _), _ in report.top_positive if target in planted_circ)
     neg_hits = sum(1 for (target, _), _ in report.top_negative if target in planted_deb)
     elapsed = time.perf_counter() - start
@@ -295,7 +293,7 @@ def _run_cli_pipeline(
          "--out-space", str(work / "space.json"), "--out-vectors", str(work / "vectors.jsonl")],
         ["train", "--space", str(work / "space.json"), "--vectors", str(work / "vectors.jsonl"),
          "--labeled", str(work / "labeled.csv"), "--out-model", str(work / "model.json"),
-         "--out-metrics", str(work / "metrics.csv"), "--seed", str(seed), "--repeats", "5"],
+         "--out-metrics", str(work / "metrics.csv"), "--seed", str(seed)],
         ["report", "--model", str(work / "model.json"), "--space", str(work / "space.json"),
          "--out-dir", str(work / "report"), "--labeled", str(work / "labeled.csv"),
          "--ties", str(fixture / "ties.csv")],

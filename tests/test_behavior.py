@@ -357,6 +357,17 @@ def test_timeline_is_retweet_must_be_boolean(tmp_path):
     assert [post.is_retweet for post in read_timeline(path)] == [False, True]
 
 
+@pytest.mark.parametrize("text", ["null", "5", '["x"]'], ids=["null", "number", "list"])
+def test_timeline_text_must_be_a_string(tmp_path, text):
+    path = tmp_path / "u1.jsonl"
+    path.write_text(
+        '{"id":"p1","user_id":"u1"}\n' + f'{{"id":"p2","user_id":"u1","text":{text}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"u1\.jsonl: bad post on line 2: text must be a string"):
+        read_timeline(path)
+
+
 def test_stats_csv_roundtrip(tmp_path):
     rows = [
         (_stats(1, 3, 0, user_id="a", rt=0.5), BehaviorLabel.NEITHER),

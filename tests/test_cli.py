@@ -78,7 +78,7 @@ def _run_pipeline(fixture_dir: Path, work_dir: Path, seed: int = 5, n: int = 20)
         "--labeled", str(work_dir / "labeled.csv"),
         "--out-model", str(work_dir / "model.json"),
         "--out-metrics", str(work_dir / "metrics.csv"),
-        "--repeats", "3", "--seed", str(seed),
+        "--seed", str(seed),
     ]) == 0
     assert main([
         "report", "--model", str(work_dir / "model.json"),
@@ -112,6 +112,29 @@ def test_corpus_filter_drops_listed_ids(tmp_path):
     assert report["removed"] == 3
     assert report["unknown_ids"] == ["missing"]
     assert report["quotes"] == 17
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["corpus", "build", "--input", "{t}/a.tsv"],
+     ["corpus", "merge", "--a", "{t}/a.tsv", "--b", "{t}/b.tsv"],
+     ["corpus", "filter", "--corpus", "{t}/a.tsv", "--exclude", "{t}/none.txt"]],
+    ids=["build", "merge", "filter"],
+)
+def test_corpus_prefixes_collapse_introduced_duplicates(tmp_path, argv):
+    # The same text with and without an introduction the default lexicon lacks.
+    rows = [("a1", "fabricated", "s", "قال الامام نص واحد للدمج"),
+            ("a2", "fabricated", "s", "نص واحد للدمج")]
+    _tsv(tmp_path / "a.tsv", rows[:1] if argv[1] == "merge" else rows)
+    _tsv(tmp_path / "b.tsv", rows[1:])
+    (tmp_path / "none.txt").write_text("", encoding="utf-8")
+    (tmp_path / "prefixes.txt").write_text("قال الامام\n", encoding="utf-8")
+    quotes = []
+    for prefixes in ([], ["--prefixes", "{t}/prefixes.txt"]):
+        assert main([arg.format(t=tmp_path) for arg in argv + prefixes]
+                    + ["--out", str(tmp_path / "o.tsv"), "--report", str(tmp_path / "r.json")]) == 0
+        quotes.append(json.loads((tmp_path / "r.json").read_text())["quotes"])
+    assert quotes == [2, 1]
 
 
 def test_missing_file_exit_2_with_path(tmp_path, capsys):
@@ -207,17 +230,39 @@ def test_scan_truncated_index_exit_4(tmp_path, capsys):
 def test_scan_strips_the_prefix_lexicon_the_index_was_built_with(tmp_path):
     prefixes = tmp_path / "prefixes.txt"
     prefixes.write_text("قال الامام\nروي عن الامام\n", encoding="utf-8")
-    scan = _index_and_scan(tmp_path, index_args=("--prefixes", str(prefixes), "--shingle-n", "2"))
+    scan = _index_and_scan(tmp_path, index_args=("--prefixes", str(prefixes)))
     index = load_index(tmp_path / "i.bin")
-    assert index.prefixes == PhraseLexicon.from_file(prefixes) and index.shingle_n == 2
+    assert index.prefixes == PhraseLexicon.from_file(prefixes)
     (tmp_path / "timelines" / "u.jsonl").write_text("".join(
         json.dumps({"id": pid, "user_id": "u", "text": text}, ensure_ascii=False) + "\n"
         for pid, text in (("p1", "قال الامام نص اول للفهرس"), ("p2", "قال رسول الله نص اول للفهرس"))
     ), encoding="utf-8")
     assert scan() == 0
-    # p1 loses the index's prefix; p2 keeps the default one: 2 of 5 bigrams.
+    # p1 loses the index's prefix; p2 keeps the default one: 3 of 6 tokens.
     similarity = {m["post_id"]: m["similarity"] for _, m in read_jsonl(tmp_path / "m.jsonl")}
-    assert similarity == {"p1": 1.0, "p2": 0.4}
+    assert similarity == {"p1": 1.0, "p2": 0.5}
+
+
+@pytest.mark.parametrize(
+    "flags, kinds",
+    [((), {"p1": "circulation", "p2": "circulation", "p3": "refute"}),
+     (("--threshold", "0.55"), {"p1": "circulation", "p3": "refute"}),
+     (("--max-posts", "2"), {"p1": "circulation", "p2": "circulation"}),
+     (("--refutes", "{t}/refutes.txt"), {"p1": "circulation", "p2": "refute",
+                                         "p3": "circulation"})],
+    ids=["defaults", "threshold", "max-posts", "refutes"],
+)
+def test_scan_flags_set_the_matches(tmp_path, flags, kinds):
+    scan = _index_and_scan(tmp_path, scan_args=[f.format(t=tmp_path) for f in flags])
+    (tmp_path / "refutes.txt").write_text("كلمه اخري\n", encoding="utf-8")
+    # Jaccard with the quote's 3 tokens: 1, 3/6 and 3/5; p3 holds a default refute phrase.
+    (tmp_path / "timelines" / "u.jsonl").write_text("".join(
+        json.dumps({"id": pid, "user_id": "u", "text": text}, ensure_ascii=False) + "\n"
+        for pid, text in (("p1", "نص اول للفهرس"), ("p2", "نص اول للفهرس كلمه اخري زائده"),
+                          ("p3", "نص اول للفهرس حديث مكذوب"))
+    ), encoding="utf-8")
+    assert scan() == 0
+    assert {m["post_id"]: m["kind"] for _, m in read_jsonl(tmp_path / "m.jsonl")} == kinds
 
 
 @pytest.mark.parametrize(
@@ -252,7 +297,7 @@ def test_scan_index_header_without_corpus_hash_exit_4(tmp_path, capsys):
     assert "i.bin: truncated or malformed index header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shingle_n", [0, True], ids=["zero", "true"])
+@pytest.mark.parametrize("shingle_n", [0, True, 2], ids=["zero", "true", "two"])
 def test_scan_index_header_bad_shingle_n_exit_4(tmp_path, capsys, shingle_n):
     scan = _index_and_scan(tmp_path)  # over an empty timelines directory: no post is read
     _rewrite_index_header(tmp_path / "i.bin", lambda header: header.update(shingle_n=shingle_n))
@@ -304,7 +349,7 @@ with contextlib.redirect_stdout(io.StringIO()):
          "--out-space", out + "/space.json", "--out-vectors", out + "/vectors.jsonl"],
         ["train", "--space", out + "/space.json", "--vectors", out + "/vectors.jsonl",
          "--labeled", out + "/labeled.csv", "--out-model", out + "/model.json",
-         "--out-metrics", out + "/metrics.csv", "--repeats", "3"],
+         "--out-metrics", out + "/metrics.csv"],
         ["report", "--model", out + "/model.json", "--space", out + "/space.json",
          "--out-dir", out + "/report"],
     ):
@@ -499,7 +544,7 @@ def test_report_with_category_map(tmp_path):
     assert main(["train", "--space", str(work / "space.json"),
                  "--vectors", str(work / "vectors.jsonl"),
                  "--labeled", str(work / "labeled.csv"), "--out-model", str(work / "model.json"),
-                 "--out-metrics", str(work / "metrics.csv"), "--repeats", "1"]) == 0
+                 "--out-metrics", str(work / "metrics.csv")]) == 0
     hubs = ["hub,000"] + [f"circ_hub_{i:03d}" for i in range(1, 20)]
     cmap = tmp_path / "categories.csv"
     write_csv(cmap, ("target_id", "category"), [(hub, "Planted Pages") for hub in hubs])
@@ -517,6 +562,14 @@ def test_report_with_category_map(tmp_path):
     assert planted.count("positive") > 0
     for side in ("positive", "negative"):
         assert counts.get((side, "Planted Pages"), 0) == planted.count(side)
+
+
+def test_report_top_k_sets_the_rows_per_side(pipeline_dir, tmp_path):
+    work = pipeline_dir / "work"
+    assert main(["report", "--model", str(work / "model.json"), "--space", str(work / "space.json"),
+                 "--out-dir", str(tmp_path), "--top-k", "3"]) == 0
+    sides = [row[0] for row in _csv_rows(tmp_path / "top_coefficients.csv")[1:]]
+    assert sides == ["positive"] * 3 + ["negative"] * 3
 
 
 def test_report_space_mismatch_exit_3(tmp_path, capsys):
@@ -576,7 +629,7 @@ def test_trained_weights_are_stationary_on_every_tie_column(pipeline_dir, tmp_pa
     assert main(["train", "--space", str(work / "space.json"),
                  "--vectors", str(work / "vectors.jsonl"),
                  "--labeled", str(work / "labeled.csv"), "--out-model", str(model_path),
-                 "--out-metrics", str(tmp_path / "metrics.csv"), "--repeats", "2"]) == 0
+                 "--out-metrics", str(tmp_path / "metrics.csv")]) == 0
     sign = {BehaviorLabel.CIRCULATOR: 1.0, BehaviorLabel.DEBUNKER: -1.0}
     labels = {stats.user_id: sign.get(label) for stats, label in read_stats_csv(
         work / "labeled.csv")}
@@ -655,7 +708,7 @@ def _replace_text(name, text):
 
 _TRAIN = ["train", "--space", "{w}/space.json", "--vectors", "{w}/vectors.jsonl",
           "--labeled", "{w}/labeled.csv", "--out-model", "{w}/m2.json",
-          "--out-metrics", "{w}/metrics2.csv", "--repeats", "1"]
+          "--out-metrics", "{w}/metrics2.csv"]
 _REPORT = ["report", "--model", "{w}/model.json", "--space", "{w}/space.json",
            "--out-dir", "{w}/r2", "--category-map", "{w}/categories.csv"]
 _FEATURES = ["features", "--ties", "{w}/ties.csv", "--out-space", "{w}/s2.json",
@@ -715,6 +768,8 @@ def _repeat_line_2(name):
          r"space\.json: manifest hash does not match column list"),
         (_REPORT, _replace_text("categories.csv", lambda text: text + "hub,000,Hubs\n"), 4,
          r"categories\.csv: line 3: expected 2 fields target_id,category, got 3"),
+        (_REPORT, _replace_text("categories.csv", lambda text: text + '"hub,000",Pages\n'), 4,
+         r"categories\.csv: line 3: repeated target_id 'hub,000'"),
         (_FEATURES, _replace_text("ties.csv", lambda _: 'u,"a\nb",follow\nv,b,block\n'), 4,
          r"ties\.csv: line 3: unknown tie kind 'block'"),
         (_TRAIN, _edit_vectors(2, columns="12"), 4,
@@ -753,7 +808,7 @@ def _repeat_line_2(name):
          "report-ties-extra-tie", "vectors-v99", "model-v99",
          "vectors-empty-space-hash", "model-empty-space-hash", "space-empty-manifest-hash",
          "space-tampered-target", "train-space-tampered-kind",
-         "category-map-three-fields",
+         "category-map-three-fields", "category-map-target-id-repeated",
          "ties-line-after-quoted-newline", "vectors-columns-string", "vectors-columns-bool",
          "vectors-columns-descending", "vectors-columns-negative", "vectors-column-past-space",
          "stats-extra-field", "stats-missing-field", "stats-empty-fields", "vectors-user-id-int",
@@ -792,23 +847,24 @@ class _Built(Exception):
 
 
 @pytest.mark.parametrize(
-    "argv, module, callee, position",
+    "argv, module, callee, position, library_only",
     [
-        (["synth", "--out-dir", "{w}/fx2", "--n-per-class", "7", "--planted", "3",
-          "--timeline-len", "5", "--noise", "0.2", "--seed", "9", "--two-refute", "2"],
-         synth, "generate", 0),
+        (["synth", "--out-dir", "{w}/fx2", "--n-per-class", "7", "--timeline-len", "5",
+          "--seed", "9", "--two-refute", "2"],
+         synth, "generate", 0, []),
         (["label", "--stats", "{w}/stats.csv", "--out", "{w}/l2.csv", "--min-fabricated", "3",
           "--min-fraction", "0.1", "--min-refutes", "4", "--min-refutes-balance", "3",
           "--no-balance"],
-         behavior, "build_labeled_dataset", 1),
-        (_TRAIN[:-2] + ["--l2", "2", "--max-iters", "50", "--tol", "1e-5", "--seed", "3",
-                        "--repeats", "2"],
-         model_mod, "train_and_validate", 2),
+         behavior, "build_labeled_dataset", 1, []),
+        # max_iters and tolerance are the solver's stopping rule, not a step of
+        # the paper's method: only library callers (the solver tests) set them.
+        (_TRAIN + ["--l2", "2", "--seed", "3"],
+         model_mod, "train_and_validate", 2, ["max_iters", "tolerance"]),
     ],
     ids=["synth", "label", "train"],
 )
 def test_a_flag_sets_every_settings_field(pipeline_dir, monkeypatch, argv, module, callee,
-                                          position):
+                                          position, library_only):
     def capture(*args, **kwargs):
         raise _Built(args[position])
 
@@ -817,7 +873,7 @@ def test_a_flag_sets_every_settings_field(pipeline_dir, monkeypatch, argv, modul
         main([arg.format(w=pipeline_dir / "work") for arg in argv])
     config = built.value.args[0]
     unset = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) == f.default]
-    assert unset == []
+    assert unset == library_only
 
 
 @settings(max_examples=30, deadline=None)

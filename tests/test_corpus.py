@@ -127,7 +127,7 @@ def test_merge_paper_scale_counts():
 
 def test_merge_with_empty_identity():
     c = _mini_corpus(["نص اول", "نص ثاني"])
-    empty = ReferenceCorpus([], [])
+    empty = ReferenceCorpus([])
     merged, report = merge_corpora(c, empty)
     assert [q.id for q in merged.quotes] == [q.id for q in c.quotes]
     assert report.collisions == 0
@@ -181,13 +181,6 @@ def test_merge_size_law_random():
         assert len(merged) == len(a) + len(b) - len(shared)
 
 
-def test_merge_provenance_union():
-    a = build_corpus([("a", "fabricated", "s1", "نص اول")])[0]
-    b = build_corpus([("b", "fabricated", "s2", "نص ثاني")])[0]
-    merged, _ = merge_corpora(a, b)
-    assert merged.provenance == ["s1", "s2"]
-
-
 def test_filter_paper_counts():
     c = _mini_corpus([f"نص {i}" for i in range(62)])
     filtered, report = filter_corpus(c, {f"q{i}" for i in range(15)})
@@ -219,9 +212,7 @@ def test_filter_then_merge_recovers_texts():
     c = _mini_corpus([f"نص {i}" for i in range(10)])
     excluded_ids = {"q2", "q5"}
     kept, _ = filter_corpus(c, excluded_ids)
-    excluded = ReferenceCorpus(
-        [q for q in c.quotes if q.id in excluded_ids], list(c.provenance)
-    )
+    excluded = ReferenceCorpus([q for q in c.quotes if q.id in excluded_ids])
     merged, _ = merge_corpora(kept, excluded)
     assert {q.normalized_text for q in merged.quotes} == {q.normalized_text for q in c.quotes}
 

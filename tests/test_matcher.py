@@ -142,7 +142,7 @@ def test_build_index_empty_corpus_error():
     from quotematch.corpus import ReferenceCorpus
 
     with pytest.raises(MatcherError):
-        build_index(ReferenceCorpus([], []))
+        build_index(ReferenceCorpus([]))
 
 
 def test_query_disjoint_vocabulary_empty():
@@ -279,7 +279,7 @@ def test_index_save_load_roundtrip(tmp_path):
     assert loaded.quote_ids == ix.quote_ids == ("q01", "q02", "q03")
     assert loaded.authenticity == ix.authenticity
     assert loaded.vocabulary == ix.vocabulary
-    assert loaded.corpus_hash == "deadbeef" and loaded.shingle_n == 1
+    assert loaded.corpus_hash == "deadbeef"
     assert np.array_equal(loaded.indptr, ix.indptr)
     assert np.array_equal(loaded.columns, ix.columns)
     query = shingle(_corpus(FIXTURE_ROWS).quotes[2].normalized_text + " zz")

@@ -440,7 +440,7 @@ def test_warm_started_folds_equal_cold_started_folds(planted):
     hp = LogitHyperparams(seed=5)
     design = distinct_columns(X)
     assert design.X.shape[1] < X.shape[1]
-    final, warm = train_and_validate(design, y, hp, repeats=10)
+    final, warm = train_and_validate(design, y, hp)
     cold = cross_validate(design.X, y, hp, repeats=10)
     assert warm == cold
     assert cross_validate(X, y, hp, repeats=10) == cold

@@ -244,19 +244,6 @@ def test_shingle_unigrams():
     assert shingle("a b c") == frozenset({"a", "b", "c"})
 
 
-def test_shingle_bigrams():
-    assert shingle("a b c", n=2) == frozenset({"a b", "b c"})
-
-
-def test_shingle_too_few_tokens():
-    assert shingle("a", n=2) == frozenset()
-
-
-def test_shingle_invalid_n():
-    with pytest.raises(ValueError):
-        shingle("a b", n=0)
-
-
 @given(st.permutations(["aa", "bb", "cc", "dd"]))
 def test_unigram_shingles_order_insensitive(tokens):
     assert shingle(" ".join(tokens)) == shingle("aa bb cc dd")

@@ -70,8 +70,8 @@ def _reject_constant(name):
 def test_traced_run_reports_every_per_layer_metric(tmp_path):
     """``trace.py`` patches modules process-wide, so it runs in its own process."""
     inputs = tmp_path / "inputs"
-    assert main(["synth", "--out-dir", str(inputs), "--n-per-class", "30", "--planted", "5",
-                 "--two-refute", "10", "--timeline-len", "6", "--seed", "1"]) == 0
+    assert main(["synth", "--out-dir", str(inputs), "--n-per-class", "30", "--two-refute", "10",
+                 "--timeline-len", "6", "--seed", "1"]) == 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), QUOTEMATCH_THREADS="1")
     result_path = tmp_path / "result.json"
     run = subprocess.run(
